@@ -6,7 +6,7 @@ actions, call-exposure warnings, reachability tracking, device forwarding)
 and produces a reproducible alert log.
 """
 
-from .context import Context, ContextEngine, SensorObservation
+from .context import Context, ContextEngine
 from .engine import (
     AlertLog,
     Engine,
@@ -63,7 +63,6 @@ __all__ = [
     "SafetyRecord",
     "Scenario",
     "ScenarioError",
-    "SensorObservation",
     "alert_ordinal",
     "group_weight",
     "load_config",

@@ -18,7 +18,6 @@ class BatteryGuard:
         self._rearm = config.battery_rearm_pct
         self._actions = config.battery_actions
         self.armed = True
-        self.last_level_pct = 100
 
     @property
     def episode_active(self) -> bool:
@@ -26,7 +25,6 @@ class BatteryGuard:
 
     def on_level(self, pct: int) -> bool:
         """Record a battery reading; True when the critical burst fires now."""
-        self.last_level_pct = pct
         if self.armed and pct < self._critical:
             self.armed = False
             return True

@@ -7,7 +7,7 @@ from pathlib import Path
 from typing import IO, Any
 
 from .errors import ConfigError
-from .model import AgentConfig, BatteryAction, BatteryActionSpec
+from .model import AgentConfig, BatteryAction, BatteryActionSpec, read_text
 
 _INT_FIELDS = (
     "battery_critical_pct",
@@ -73,12 +73,8 @@ def config_from_dict(doc: Any) -> AgentConfig:
 
 
 def load_config(source: str | Path | IO[str]) -> AgentConfig:
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
-    else:
-        text = source.read()
     try:
-        doc = json.loads(text)
+        doc = json.loads(read_text(source))
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"

@@ -6,7 +6,6 @@ context, sensor observations are ignored until the next user_context event.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
 
@@ -31,13 +30,6 @@ SENSOR_SIGNAL_KINDS: tuple[str, ...] = (
 def signal_key(signal_kind: str, signal_value: str) -> str:
     """Registry key for a sensor observation, e.g. ``wifi_network:home-net``."""
     return f"{signal_kind}:{signal_value}"
-
-
-@dataclass(frozen=True)
-class SensorObservation:
-    t: int
-    signal_kind: str
-    signal_value: str
 
 
 class ContextEngine:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import copy
 import heapq
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Any
@@ -33,11 +34,13 @@ from .model import (
     Alert,
     BatteryAction,
     Event,
+    read_text,
+    write_text,
 )
-from .radiation import CallMonitor, is_unsafe_call, should_warn_precall
+from .radiation import CallMonitor, is_unsafe_call, should_warn_precall, unsafe_probability
 from .sleep import RING, SleepGate, alert_ordinal
 from .sorter import MissedItemTally
-from .tracker import FAILURE_REASONS, CallerTracker, TrackerState
+from .tracker import FAILURE_REASONS, CallerTracker, TrackerTask
 
 # ---------------------------------------------------------------------------
 # Scenario parsing
@@ -143,14 +146,9 @@ def parse_scenario(source: str | Path | IO[str], name: str = "scenario") -> Scen
     Timestamps must be nondecreasing in file order. Blank lines are skipped
     but still count toward line numbering.
     """
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
-    else:
-        text = source.read()
-
     events: list[Event] = []
     prev_t = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(source).splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -195,21 +193,13 @@ def alert_to_json(alert: Alert) -> str:
 
 
 def write_alert_log(log: AlertLog, sink: str | Path | IO[str]) -> None:
-    text = "".join(alert_to_json(alert) + "\n" for alert in log.entries)
-    if isinstance(sink, (str, Path)):
-        Path(sink).write_text(text, encoding="utf-8")
-    else:
-        sink.write(text)
+    write_text(sink, "".join(alert_to_json(alert) + "\n" for alert in log.entries))
 
 
 def read_alert_log(source: str | Path | IO[str]) -> list[Alert]:
     """Parse a written alert log back into Alert values (for reporting)."""
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
-    else:
-        text = source.read()
     alerts: list[Alert] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(source).splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -235,11 +225,6 @@ def read_alert_log(source: str | Path | IO[str]) -> list[Alert]:
 # ---------------------------------------------------------------------------
 # Engine
 
-# Same-instant priority of internal deadlines.
-_PRIO_RADIATION = 0
-_PRIO_TRACKER = 1
-_PRIO_FORWARDER = 2
-
 # Alert kinds that acknowledge a missed item when attended.
 _ACK_ITEM_KIND = {"ring": "call", "suppress_note": "call", "beep": "message"}
 
@@ -249,7 +234,13 @@ _EPOCH_TERMINATORS = frozenset({"call_end", "safety_mode_enter"})
 
 
 class Engine:
-    """One scenario run. Owns copies of the knowledge base and all state."""
+    """One scenario run. Owns copies of the knowledge base and all state.
+
+    Internal deadlines come from three sources, merged by (t, subsystem): the
+    active call's next exposure crossing, read live from the call monitor;
+    the tracker's delivery timeouts, a heap of (due, seq of the accepting
+    user_response, prompt id); and the attendance ledger's FIFO of deadlines.
+    """
 
     def __init__(self, config: AgentConfig, kb: KnowledgeBase):
         config.validate()
@@ -268,246 +259,201 @@ class Engine:
         self.clock = 0
         self.entries: list[Alert] = []
         self.diagnostics: list[str] = []
-        self._alert_seq = 0
-        self._emitted: dict[int, Alert] = {}
-        # heap of (t, subsystem priority, creation order, kind, data)
-        self._timers: list[tuple[int, int, int, str, tuple]] = []
-        self._timer_order = 0
+        self._timeouts: list[tuple[int, int, str]] = []
+        self._handlers = {kind: getattr(self, f"_on_{kind}") for kind in EVENT_KINDS}
 
     # -- plumbing -----------------------------------------------------------
 
     def _note(self, message: str) -> None:
         self.diagnostics.append(f"t={self.clock}: {message}")
 
-    def _emit(self, kind: str, payload: dict[str, Any]) -> Alert:
-        self._alert_seq += 1
-        alert = Alert(t=self.clock, seq=self._alert_seq, kind=kind, payload=payload)
+    def _emit(self, kind: str, payload: dict[str, Any]) -> None:
+        alert = Alert(t=self.clock, seq=len(self.entries) + 1, kind=kind, payload=payload)
         self.entries.append(alert)
-        self._emitted[alert.seq] = alert
         if kind in USER_FACING_ALERT_KINDS:
-            deadline = self.clock + self.config.attend_window_ms
-            self.ledger.track(alert, deadline)
-            self._schedule(deadline, _PRIO_FORWARDER, "attendance", (alert.seq,))
-        return alert
+            self.ledger.track(alert, self.clock + self.config.attend_window_ms)
 
-    def _schedule(self, t: int, prio: int, kind: str, data: tuple) -> None:
-        self._timer_order += 1
-        heapq.heappush(self._timers, (t, prio, self._timer_order, kind, data))
+    def _emit_snapshot(self) -> None:
+        entries = self.tally.snapshot(self.kb, self.clock, self.config.sorter_t_floor_min)
+        self._emit(
+            "sorted_list_snapshot",
+            {"entries": [{"caller": c, "kind": k, "score": s} for c, k, s in entries]},
+        )
 
-    def _timer_valid(self, timer: tuple[int, int, int, str, tuple]) -> bool:
-        t, _prio, _order, kind, data = timer
-        if kind == "crossing":
-            token, expected_t = data
-            return self.monitor.epoch_token == token and self.monitor.next_warning_at() == expected_t
-        if kind == "tracker_timeout":
-            task = self.tracker.task_for_prompt(data[0])
-            return task is not None and task.state is TrackerState.AWAITING_DELIVERY
-        if kind == "attendance":
-            return self.ledger.deadline_of(data[0]) is not None
-        return False
+    def _emit_tracker(self, kind: str, task: TrackerTask) -> None:
+        self._emit(
+            kind,
+            {
+                "prompt_id": task.prompt_id,
+                "callee": task.callee_id,
+                "tracking_msg_id": task.tracking_msg_id,
+            },
+        )
 
-    def _peek_timer(self) -> tuple[int, int, int, str, tuple] | None:
-        while self._timers and not self._timer_valid(self._timers[0]):
-            heapq.heappop(self._timers)
-        return self._timers[0] if self._timers else None
+    # -- internal deadlines -------------------------------------------------
 
-    def _schedule_crossing(self) -> None:
-        due = self.monitor.next_warning_at()
-        if due is not None:
-            self._schedule(due, _PRIO_RADIATION, "crossing", (self.monitor.epoch_token, due))
+    def _fire_deadlines(self, before: float, events: list[Event], index: int) -> None:
+        """Fire every deadline earlier than ``before``; events[index:] are still to come."""
+        monitor, ledger, timeouts = self.monitor, self.ledger, self._timeouts
+        while True:
+            t = before
+            crossing = monitor.next_warning_at()
+            if crossing is not None and crossing < t:
+                t = crossing
+            if timeouts and timeouts[0][0] < t:
+                t = timeouts[0][0]
+            attendance = ledger.next_deadline()
+            if attendance is not None and attendance < t:
+                t = attendance
+            if t == before:
+                return
+            self.clock = t
+            # Same-instant ties go by subsystem: radiation, tracker, forwarder.
+            if t == crossing:
+                self._fire_crossing(events, index)
+            elif timeouts and t == timeouts[0][0]:
+                self._fire_tracker_timeout()
+            else:
+                self._fire_attendance()
 
-    def _snapshot_entries(self) -> list[dict[str, Any]]:
-        return [
-            {"caller": caller, "kind": kind, "score": score}
-            for caller, kind, score in self.tally.snapshot(
-                self.kb, self.clock, self.config.sorter_t_floor_min
-            )
-        ]
+    def _fire_crossing(self, events: list[Event], index: int) -> None:
+        t = self.clock
+        exposure = self.monitor.note_warning()
+        # The exposure stretch must continue strictly past this instant: an
+        # epoch-ending event at the same t means the limit was only reached,
+        # never exceeded, so the crossing is consumed without a warning.
+        while index < len(events) and events[index].t == t:
+            if events[index].kind in _EPOCH_TERMINATORS:
+                return
+            index += 1
+        session = self.monitor.session
+        assert session is not None
+        self._emit(
+            "radiation_incall_warning", {"caller": session.caller_id, "exposure_ms": exposure}
+        )
 
-    # -- timers -------------------------------------------------------------
+    def _fire_tracker_timeout(self) -> None:
+        _due, _seq, prompt_id = heapq.heappop(self._timeouts)
+        task = self.tracker.expire(
+            prompt_id, now=self.clock, timeout_ms=self.config.tracker_timeout_ms
+        )
+        if task is not None:
+            self._emit_tracker("tracker_expired", task)
 
-    def _fire_timer(
-        self,
-        timer: tuple[int, int, int, str, tuple],
-        events: list[Event],
-        next_index: int,
-    ) -> None:
-        t, _prio, _order, kind, data = timer
-        if kind == "crossing":
-            # The exposure stretch must continue strictly past this instant:
-            # an epoch-ending event at the same t means the limit was only
-            # reached, never exceeded, so nothing fires.
-            j = next_index
-            while j < len(events) and events[j].t == t:
-                if events[j].kind in _EPOCH_TERMINATORS:
-                    return
-                j += 1
-            session = self.monitor.session
-            assert session is not None
-            exposure = self.monitor.note_warning()
-            self._emit(
-                "radiation_incall_warning",
-                {"caller": session.caller_id, "exposure_ms": exposure},
-            )
-            self._schedule_crossing()
-        elif kind == "tracker_timeout":
-            task = self.tracker.expire(data[0], now=t, timeout_ms=self.config.tracker_timeout_ms)
-            if task is not None:
+    def _fire_attendance(self) -> None:
+        alert = self.ledger.pop_due()
+        if alert is not None:
+            for device in matching_devices(self.kb.devices, self.ctx.current, alert.kind):
                 self._emit(
-                    "tracker_expired",
-                    {
-                        "prompt_id": task.prompt_id,
-                        "callee": task.callee_id,
-                        "tracking_msg_id": task.tracking_msg_id,
-                    },
+                    "forward_to_device", {"device_id": device.device_id, "alert": alert.to_record()}
                 )
-        elif kind == "attendance":
-            alert = self.ledger.pop_due(data[0])
-            if alert is not None:
-                for device in matching_devices(self.kb.devices, self.ctx.current, alert.kind):
-                    self._emit(
-                        "forward_to_device",
-                        {"device_id": device.device_id, "alert": alert.to_record()},
-                    )
 
-    # -- per-event dispatch --------------------------------------------------
+    # -- per-event handlers, each calling its stages in the documented order --
 
     def _dispatch(self, ev: Event) -> None:
-        if ev.kind == "notification_attended":
-            self._handle_attended(ev)
-            return
-        diverted = False
-        # context stage
-        if ev.kind == "sensor":
-            self.ctx.apply_sensor(ev.data["signal_kind"], ev.data["signal_value"])
-        elif ev.kind == "user_context":
-            self.ctx.apply_user(Context(ev.data["context"]))
-        # battery stage
-        elif ev.kind == "battery_level":
-            if self.battery.on_level(ev.data["pct"]):
-                self._emit("sorted_list_snapshot", {"entries": self._snapshot_entries()})
-                for spec in self.config.battery_actions:
-                    payload: dict[str, Any] = {"action": spec.kind.value}
-                    if spec.destination:
-                        payload["destination"] = spec.destination
-                    self._emit("battery_action", payload)
-        if ev.kind == "call_start":
-            caller = ev.data["caller"]
-            specs, diverted = self.battery.on_incoming_call(self.kb.contact_group(caller))
-            for spec in specs:
-                payload = {"action": spec.kind.value, "caller": caller}
-                if spec.kind is BatteryAction.DIVERT_GROUP_A:
-                    payload["destination"] = spec.destination
-                self._emit("battery_action", payload)
-        # audible stage: ring/suppress for calls, beep for messages
-        if ev.kind == "sleep_mode":
-            self.sleep.set_active(ev.data["on"], ev.t)
-        elif ev.kind == "call_start" and not diverted:
-            caller = ev.data["caller"]
-            ordinal = alert_ordinal(self.kb.contact_group(caller), self.kb.temp_important(caller))
+        self._handlers[ev.kind](ev)
+
+    def _on_call_start(self, ev: Event) -> None:
+        caller = ev.data["caller"]
+        group = self.kb.contact_group(caller)
+        # battery stage: a diverted call neither rings nor is suppressed
+        specs, diverted = self.battery.on_incoming_call(group)
+        for spec in specs:
+            payload = {"action": spec.kind.value, "caller": caller}
+            if spec.kind is BatteryAction.DIVERT_GROUP_A:
+                payload["destination"] = spec.destination
+            self._emit("battery_action", payload)
+        # audible stage
+        if not diverted:
+            ordinal = alert_ordinal(group, self.kb.temp_important(caller))
             decision, count = self.sleep.on_call(caller, ordinal)
             if decision == RING:
                 self._emit("ring", {"caller": caller})
             else:
-                self._emit(
-                    "suppress_note", {"caller": caller, "count": count, "ring_at": ordinal}
-                )
-        elif ev.kind == "message_received":
-            self._emit("beep", {"caller": ev.data["caller"]})
+                self._emit("suppress_note", {"caller": caller, "count": count, "ring_at": ordinal})
         # radiation stage
-        if ev.kind == "call_start":
-            caller = ev.data["caller"]
-            if self.monitor.session is not None:
-                self._note(f"call from {caller!r} while another call is active; not tracked")
-            else:
-                record = self.kb.safety_records.get(caller)
-                if should_warn_precall(record, self.config):
-                    assert record is not None
-                    self._emit(
-                        "radiation_precall_warning",
-                        {
-                            "caller": caller,
-                            "probability": record.unsafe_calls / record.total_calls,
-                        },
-                    )
-                self.monitor.start_call(ev.t, caller, ev.data["safety"])
-                self._schedule_crossing()
-        elif ev.kind == "call_end":
-            if self.monitor.session is None:
-                self._note("call_end with no active call")
-            else:
-                caller, main_ms = self.monitor.end_call(ev.t)
-                self.kb.record_call(
-                    caller, is_unsafe_call(main_ms, self.config.safe_call_limit_ms)
-                )
-        elif ev.kind in ("safety_mode_enter", "safety_mode_exit"):
-            if self.monitor.session is None:
-                self._note(f"{ev.kind} with no active call")
-            else:
-                self.monitor.on_safety(ev.t, entering=ev.kind == "safety_mode_enter")
-                self._schedule_crossing()
-        # tracker stage
-        elif ev.kind == "call_failed":
-            task = self.tracker.on_call_failed(ev.t, ev.data["callee"], ev.data["reason"])
-            if task is not None:
+        if self.monitor.session is not None:
+            self._note(f"call from {caller!r} while another call is active; not tracked")
+        else:
+            record = self.kb.safety_records.get(caller)
+            if should_warn_precall(record, self.config):
+                assert record is not None
                 self._emit(
-                    "prompt",
-                    {
-                        "prompt_id": task.prompt_id,
-                        "callee": task.callee_id,
-                        "reason": task.reason,
-                    },
+                    "radiation_precall_warning",
+                    {"caller": caller, "probability": unsafe_probability(record)},
                 )
-        elif ev.kind == "user_response":
-            outcome, task = self.tracker.on_user_response(
-                ev.t, ev.data["prompt_id"], ev.data["answer"]
-            )
-            if outcome == "accepted":
-                assert task is not None
-                self._emit(
-                    "tracker_message",
-                    {
-                        "tracking_msg_id": task.tracking_msg_id,
-                        "callee": task.callee_id,
-                        "prompt_id": task.prompt_id,
-                    },
-                )
-                due = max(ev.t, task.created_ms + self.config.tracker_timeout_ms + 1)
-                self._schedule(due, _PRIO_TRACKER, "tracker_timeout", (task.prompt_id,))
-            elif outcome == "ignored":
-                self._note(f"user_response for unknown or settled prompt {ev.data['prompt_id']!r}")
-        elif ev.kind == "delivery_report":
-            outcome, task = self.tracker.on_delivery_report(
-                ev.t, ev.data["tracking_msg_id"], ev.data["positive"]
-            )
-            if outcome == "done":
-                assert task is not None
-                self._emit(
-                    "tracker_notify",
-                    {
-                        "prompt_id": task.prompt_id,
-                        "callee": task.callee_id,
-                        "tracking_msg_id": task.tracking_msg_id,
-                    },
-                )
-            elif outcome == "unknown":
-                self._note(
-                    f"delivery_report for unknown tracking id {ev.data['tracking_msg_id']!r}"
-                )
+            self.monitor.start_call(ev.t, caller, ev.data["safety"])
         # sorter stage
-        if ev.kind == "call_start":
-            self.tally.add(ev.data["caller"], "call", ev.t)
-        elif ev.kind == "message_received":
-            self.tally.add(ev.data["caller"], "message", ev.t)
-        elif ev.kind == "snapshot_request":
-            self._emit("sorted_list_snapshot", {"entries": self._snapshot_entries()})
+        self.tally.add(caller, "call", ev.t)
 
-    def _handle_attended(self, ev: Event) -> None:
+    def _on_call_end(self, ev: Event) -> None:
+        if self.monitor.session is None:
+            self._note("call_end with no active call")
+        else:
+            caller, main_ms = self.monitor.end_call(ev.t)
+            self.kb.record_call(caller, is_unsafe_call(main_ms, self.config.safe_call_limit_ms))
+
+    def _on_safety_mode(self, ev: Event) -> None:
+        if self.monitor.session is None:
+            self._note(f"{ev.kind} with no active call")
+        else:
+            self.monitor.on_safety(ev.t, entering=ev.kind == "safety_mode_enter")
+
+    _on_safety_mode_enter = _on_safety_mode_exit = _on_safety_mode
+
+    def _on_call_failed(self, ev: Event) -> None:
+        task = self.tracker.on_call_failed(ev.t, ev.data["callee"], ev.data["reason"])
+        if task is not None:
+            self._emit(
+                "prompt",
+                {"prompt_id": task.prompt_id, "callee": task.callee_id, "reason": task.reason},
+            )
+
+    def _on_message_received(self, ev: Event) -> None:
+        self._emit("beep", {"caller": ev.data["caller"]})
+        self.tally.add(ev.data["caller"], "message", ev.t)
+
+    def _on_battery_level(self, ev: Event) -> None:
+        if self.battery.on_level(ev.data["pct"]):
+            self._emit_snapshot()
+            for spec in self.config.battery_actions:
+                payload = {"action": spec.kind.value}
+                if spec.destination:
+                    payload["destination"] = spec.destination
+                self._emit("battery_action", payload)
+
+    def _on_sensor(self, ev: Event) -> None:
+        self.ctx.apply_sensor(ev.data["signal_kind"], ev.data["signal_value"])
+
+    def _on_user_context(self, ev: Event) -> None:
+        self.ctx.apply_user(Context(ev.data["context"]))
+
+    def _on_user_response(self, ev: Event) -> None:
+        outcome, task = self.tracker.on_user_response(ev.t, ev.data["prompt_id"], ev.data["answer"])
+        if outcome == "accepted":
+            assert task is not None
+            self._emit_tracker("tracker_message", task)
+            due = max(ev.t, task.created_ms + self.config.tracker_timeout_ms + 1)
+            heapq.heappush(self._timeouts, (due, ev.seq, task.prompt_id))
+        elif outcome == "ignored":
+            self._note(f"user_response for unknown or settled prompt {ev.data['prompt_id']!r}")
+
+    def _on_delivery_report(self, ev: Event) -> None:
+        outcome, task = self.tracker.on_delivery_report(
+            ev.t, ev.data["tracking_msg_id"], ev.data["positive"]
+        )
+        if outcome == "done":
+            assert task is not None
+            self._emit_tracker("tracker_notify", task)
+        elif outcome == "unknown":
+            self._note(f"delivery_report for unknown tracking id {ev.data['tracking_msg_id']!r}")
+
+    def _on_notification_attended(self, ev: Event) -> None:
         alert_id = ev.data["alert_id"]
-        alert = self._emitted.get(alert_id)
-        if alert is None:
+        if alert_id > len(self.entries):
             self._note(f"notification_attended for unknown alert id {alert_id}")
             return
+        alert = self.entries[alert_id - 1]
         # sorter stage: attending the item's alert acknowledges the item
         item_kind = _ACK_ITEM_KIND.get(alert.kind)
         if item_kind is not None:
@@ -515,36 +461,28 @@ class Engine:
         # forwarder stage: a pending entry attended in time never forwards
         self.ledger.attend(alert_id)
 
+    def _on_sleep_mode(self, ev: Event) -> None:
+        self.sleep.set_active(ev.data["on"])
+
+    def _on_snapshot_request(self, ev: Event) -> None:
+        self._emit_snapshot()
+
     # -- main loop ------------------------------------------------------------
 
     def run(self, scenario: Scenario) -> AlertLog:
         events = scenario.events
-        total = len(events)
-        index = 0
-        drained = False
-        while True:
-            if index >= total and not drained:
-                drained = True
-                # A call the scenario never ended would keep producing
-                # exposure warnings forever; stop tracking it, unclassified.
-                if self.monitor.session is not None:
-                    caller = self.monitor.abandon_call()
-                    self._note(
-                        f"call from {caller!r} still active at end of scenario; "
-                        "exposure tracking stopped"
-                    )
-            timer = self._peek_timer()
-            ev = events[index] if index < total else None
-            if timer is None and ev is None:
-                break
-            if ev is None or (timer is not None and timer[0] <= ev.t):
-                heapq.heappop(self._timers)
-                self.clock = timer[0]
-                self._fire_timer(timer, events, index)
-            else:
-                self.clock = ev.t
-                index += 1
-                self._dispatch(ev)
+        for index, ev in enumerate(events):
+            self._fire_deadlines(ev.t + 1, events, index)
+            self.clock = ev.t
+            self._dispatch(ev)
+        # A call the scenario never ended would keep producing exposure
+        # warnings forever; stop tracking it, unclassified.
+        if self.monitor.session is not None:
+            caller = self.monitor.abandon_call()
+            self._note(
+                f"call from {caller!r} still active at end of scenario; exposure tracking stopped"
+            )
+        self._fire_deadlines(math.inf, events, len(events))
         return AlertLog(entries=self.entries, diagnostics=self.diagnostics)
 
 

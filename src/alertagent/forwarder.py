@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .context import Context
@@ -30,26 +31,30 @@ def matching_devices(
 
 
 class AttendanceLedger:
-    """Pending user-facing alerts, keyed by alert seq, each with a deadline."""
+    """Pending user-facing alerts keyed by alert seq, and a queue of their deadlines.
+
+    Deadlines must be tracked in nondecreasing order, as they are when each is
+    the alert's time plus a constant window on a clock that never goes back;
+    the queue is then ordered by (deadline, seq) without sorting.
+    """
 
     def __init__(self) -> None:
-        self._pending: dict[int, tuple[Alert, int]] = {}
+        self._pending: dict[int, Alert] = {}
+        self._deadlines: deque[tuple[int, int]] = deque()
 
     def track(self, alert: Alert, deadline_ms: int) -> None:
-        self._pending[alert.seq] = (alert, deadline_ms)
+        self._pending[alert.seq] = alert
+        self._deadlines.append((deadline_ms, alert.seq))
 
     def attend(self, alert_seq: int) -> bool:
         """Remove a pending entry. True if the alert was still pending."""
         return self._pending.pop(alert_seq, None) is not None
 
-    def pop_due(self, alert_seq: int) -> Alert | None:
-        """Take the alert out for deadline handling; None if already attended."""
-        entry = self._pending.pop(alert_seq, None)
-        return entry[0] if entry is not None else None
+    def next_deadline(self) -> int | None:
+        """Earliest deadline not yet popped, whether or not its alert was attended."""
+        return self._deadlines[0][0] if self._deadlines else None
 
-    def deadline_of(self, alert_seq: int) -> int | None:
-        entry = self._pending.get(alert_seq)
-        return entry[1] if entry is not None else None
-
-    def __len__(self) -> int:
-        return len(self._pending)
+    def pop_due(self) -> Alert | None:
+        """Pop the earliest deadline; its alert, or None if it was attended in time."""
+        _deadline, alert_seq = self._deadlines.popleft()
+        return self._pending.pop(alert_seq, None)

@@ -24,7 +24,7 @@ from typing import IO, Any
 from .context import Context
 from .errors import KnowledgeBaseError
 from .forwarder import DeviceRegistration
-from .model import ALERT_KINDS, Contact, Group
+from .model import ALERT_KINDS, Contact, Group, read_text, write_text
 
 _TOP_KEYS = ("contacts", "context_signals", "devices", "safety_records")
 _CONTACT_KEYS = ("id", "name", "group", "temp_important")
@@ -249,17 +249,10 @@ def kb_to_text(kb: KnowledgeBase) -> str:
     return json.dumps(kb_to_dict(kb), sort_keys=True, indent=2) + "\n"
 
 
-def _read_text(source: str | Path | IO[str]) -> str:
-    if isinstance(source, (str, Path)):
-        return Path(source).read_text(encoding="utf-8")
-    return source.read()
-
-
 def load_kb(source: str | Path | IO[str]) -> KnowledgeBase:
     """Parse and validate a knowledge-base document from a path or stream."""
-    text = _read_text(source)
     try:
-        doc = json.loads(text)
+        doc = json.loads(read_text(source))
     except json.JSONDecodeError as exc:
         raise KnowledgeBaseError(
             f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -269,8 +262,4 @@ def load_kb(source: str | Path | IO[str]) -> KnowledgeBase:
 
 def save_kb(kb: KnowledgeBase, sink: str | Path | IO[str]) -> None:
     """Write the canonical form; identical inputs yield identical bytes."""
-    text = kb_to_text(kb)
-    if isinstance(sink, (str, Path)):
-        Path(sink).write_text(text, encoding="utf-8")
-    else:
-        sink.write(text)
+    write_text(sink, kb_to_text(kb))

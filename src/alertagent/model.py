@@ -4,9 +4,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any
+from pathlib import Path
+from typing import IO, Any
 
 from .errors import ConfigError
+
+
+def read_text(source: str | Path | IO[str]) -> str:
+    """Whole text of a file path (UTF-8) or of an open text stream."""
+    if isinstance(source, (str, Path)):
+        return Path(source).read_text(encoding="utf-8")
+    return source.read()
+
+
+def write_text(sink: str | Path | IO[str], text: str) -> None:
+    """Write text to a file path (UTF-8) or to an open text stream."""
+    if isinstance(sink, (str, Path)):
+        Path(sink).write_text(text, encoding="utf-8")
+    else:
+        sink.write(text)
 
 
 class Group(str, Enum):

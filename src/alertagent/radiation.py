@@ -54,16 +54,8 @@ class CallMonitor:
     def __init__(self, safe_limit_ms: int):
         self.safe_limit_ms = safe_limit_ms
         self.session: CallSession | None = None
-        # Bumped on every call/epoch change; scheduled warnings referencing an
-        # older token are stale and must be dropped.
-        self._epoch_no = 0
-
-    @property
-    def epoch_token(self) -> int:
-        return self._epoch_no
 
     def start_call(self, t: int, caller_id: str, safety: bool) -> None:
-        self._epoch_no += 1
         self.session = CallSession(
             caller_id=caller_id,
             start_ms=t,
@@ -76,7 +68,6 @@ class CallMonitor:
         session = self.session
         if session is None or entering == session.in_safety_mode:
             return
-        self._epoch_no += 1
         session.in_safety_mode = entering
         session.exposure_start_ms = None if entering else t
         session.warnings_in_epoch = 0
@@ -85,7 +76,6 @@ class CallMonitor:
         """Close the call; returns (caller id, main timer duration)."""
         session = self.session
         assert session is not None, "no active call"
-        self._epoch_no += 1
         self.session = None
         return session.caller_id, t - session.start_ms
 
@@ -93,7 +83,6 @@ class CallMonitor:
         """Drop the active call without classifying it (scenario ended mid-call)."""
         session = self.session
         assert session is not None, "no active call"
-        self._epoch_no += 1
         self.session = None
         return session.caller_id
 

@@ -30,19 +30,14 @@ class SleepGate:
 
     def __init__(self) -> None:
         self.active = False
-        self.started_ms: int | None = None
         self._counts: dict[str, int] = {}
 
-    def set_active(self, on: bool, t: int) -> None:
+    def set_active(self, on: bool) -> None:
         """Start or stop a session; counters reset either way. Idempotent."""
         if on == self.active:
             return
         self.active = on
-        self.started_ms = t if on else None
         self._counts.clear()
-
-    def count_for(self, caller_id: str) -> int:
-        return self._counts.get(caller_id, 0)
 
     def on_call(self, caller_id: str, ordinal: int) -> tuple[str, int]:
         """Decide ring/suppress for one incoming call.

@@ -88,6 +88,3 @@ class MissedItemTally:
         self, kb: "KnowledgeBase", now_ms: int, t_floor_min: float = 1.0
     ) -> list[tuple[str, str, float]]:
         return sort_notifications(self.records(), kb, now_ms, t_floor_min)
-
-    def __len__(self) -> int:
-        return len(self._items)

@@ -53,9 +53,6 @@ class CallerTracker:
                 return task
         return None
 
-    def task_for_prompt(self, prompt_id: str) -> TrackerTask | None:
-        return self._by_prompt.get(prompt_id)
-
     def on_call_failed(self, t: int, callee_id: str, reason: str) -> TrackerTask | None:
         """Open a consent prompt for the callee; None while one is already open."""
         if self.active_task(callee_id) is not None:

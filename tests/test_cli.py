@@ -97,6 +97,34 @@ def test_run_unwritable_out_is_code_2(workspace, capsys):
     assert code == 2
 
 
+def test_precall_warning_with_empty_history_does_not_crash(tmp_path):
+    kb = tmp_path / "kb.json"
+    kb.write_text(
+        json.dumps(kb_doc(safety={"c1": {"total": 0, "unsafe": 0}})), encoding="utf-8"
+    )
+    config = tmp_path / "config.json"
+    config.write_text(
+        '{"precall_min_calls": 0, "precall_prob_threshold": 0.0}', encoding="utf-8"
+    )
+    scenario = tmp_path / "scenario.jsonl"
+    scenario.write_text('{"t": 0, "type": "call_start", "caller": "c1"}\n', encoding="utf-8")
+    out = tmp_path / "log.jsonl"
+    code = main(
+        [
+            "run",
+            "--scenario", str(scenario),
+            "--kb", str(kb),
+            "--config", str(config),
+            "--out", str(out),
+        ]
+    )
+    assert code == 0
+    records = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+    warnings = [r for r in records if r["kind"] == "radiation_precall_warning"]
+    assert warnings == [{"t": 0, "seq": 2, "kind": "radiation_precall_warning",
+                         "caller": "c1", "probability": 0.0}]
+
+
 def test_validate_accepts_valid_inputs(workspace, capsys):
     _, scenario, kb, config = workspace
     assert main(["validate", "--scenario", str(scenario)]) == 0

@@ -389,6 +389,34 @@ def test_internal_deadline_fires_before_same_instant_event():
     assert at_deadline == ["forward_to_device", "beep"]
 
 
+def test_same_instant_deadlines_fire_by_subsystem():
+    # A crossing, a tracker timeout and an attendance deadline all at 360 000.
+    doc = kb_doc(devices=[{"device_id": "tv", "contexts": ["Home"], "kinds": ["beep"]}])
+    lines = [
+        {"t": 0, "type": "user_context", "context": "Home"},
+        {"t": 0, "type": "call_failed", "callee": "c3", "reason": "unreachable"},
+        {"t": 0, "type": "call_start", "caller": "c1"},
+        {"t": 1, "type": "user_response", "prompt_id": "p1", "answer": "yes"},
+        {"t": 300_000, "type": "message_received", "caller": "c2"},
+        {"t": 400_000, "type": "call_end"},
+    ]
+    log, _ = run(lines, doc, AgentConfig(tracker_timeout_ms=359_999))
+    at_instant = [a.kind for a in log.entries if a.t == 360_000]
+    assert at_instant == ["radiation_incall_warning", "tracker_expired", "forward_to_device"]
+
+
+def test_same_instant_tracker_timeouts_fire_in_acceptance_order():
+    lines = [
+        {"t": 0, "type": "call_failed", "callee": "c3", "reason": "unreachable"},
+        {"t": 0, "type": "call_failed", "callee": "c4", "reason": "unreachable"},
+        {"t": 1, "type": "user_response", "prompt_id": "p2", "answer": "yes"},
+        {"t": 2, "type": "user_response", "prompt_id": "p1", "answer": "yes"},
+    ]
+    log, _ = run(lines, config=AgentConfig(tracker_timeout_ms=1000))
+    expired = [a for a in log.entries if a.kind == "tracker_expired"]
+    assert [(a.t, a.payload["prompt_id"]) for a in expired] == [(1001, "p2"), (1001, "p1")]
+
+
 def test_attendance_at_the_deadline_instant_is_too_late():
     lines = [
         {"t": 0, "type": "user_context", "context": "Home"},

@@ -34,10 +34,10 @@ def test_forwarding_is_inert_in_unknown_context():
 
 def test_ledger_tracks_with_deadline():
     ledger = AttendanceLedger()
+    assert ledger.next_deadline() is None
     alert = Alert(t=1000, seq=1, kind="ring", payload={"caller": "c1"})
     ledger.track(alert, deadline_ms=61_000)
-    assert ledger.deadline_of(1) == 61_000
-    assert len(ledger) == 1
+    assert ledger.next_deadline() == 61_000
 
 
 def test_attend_removes_entry_once():
@@ -45,20 +45,28 @@ def test_attend_removes_entry_once():
     ledger.track(Alert(t=0, seq=1, kind="ring", payload={}), deadline_ms=60_000)
     assert ledger.attend(1) is True
     assert ledger.attend(1) is False
-    assert ledger.pop_due(1) is None
+    # The deadline stays queued; popping it yields nothing to forward.
+    assert ledger.next_deadline() == 60_000
+    assert ledger.pop_due() is None
+    assert ledger.next_deadline() is None
 
 
 def test_pop_due_takes_the_alert_out():
     ledger = AttendanceLedger()
     alert = Alert(t=0, seq=7, kind="beep", payload={})
     ledger.track(alert, deadline_ms=60_000)
-    assert ledger.pop_due(7) is alert
-    assert ledger.pop_due(7) is None
+    assert ledger.pop_due() is alert
+    assert ledger.next_deadline() is None
+    assert ledger.attend(7) is False
 
 
 def test_entries_are_independent():
     ledger = AttendanceLedger()
     ledger.track(Alert(t=0, seq=1, kind="ring", payload={}), deadline_ms=10)
-    ledger.track(Alert(t=5, seq=2, kind="beep", payload={}), deadline_ms=15)
+    beep = Alert(t=5, seq=2, kind="beep", payload={})
+    ledger.track(beep, deadline_ms=15)
     assert ledger.attend(1) is True
-    assert ledger.deadline_of(2) == 15
+    assert ledger.next_deadline() == 10
+    assert ledger.pop_due() is None
+    assert ledger.next_deadline() == 15
+    assert ledger.pop_due() is beep

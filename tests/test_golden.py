@@ -1,0 +1,115 @@
+"""Golden corpus: the sha256 of every output byte for a fixed set of inputs.
+
+Every refactor must leave these hashes unchanged. The corpus is the worked
+example in ``sample/`` plus the benchmark generator's three workloads at
+seeds 1-3 and scale 0.2. The generated scenario's own hash is pinned too, so
+that a change in the generator shows apart from a change in the engine (the
+generator replays the scenario once with this engine to name attendance ids).
+"""
+
+from __future__ import annotations
+
+import hashlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from alertagent.config import load_config
+from alertagent.engine import parse_scenario, run_scenario, write_alert_log
+from alertagent.kb import load_kb, save_kb
+
+ROOT = Path(__file__).resolve().parent.parent
+SCALE = 0.2
+
+# case -> (scenario.jsonl, log, kb-out) sha256; the sample's scenario is a
+# committed file, so only its outputs are pinned.
+GOLDEN = {
+    "sample": (
+        None,
+        "91dfa490feebe7bd9e117c326ba8c2278e5e068c57d401ef0ad3f691fb677edb",
+        "0a08f444ab9a14e081e41e53596fc6f102dcd29032d79ae7f593a3b84531b848",
+    ),
+    "busy_day-1": (
+        "ac1fc325aa3dc740c389328f7607d5f077026e01a1f576cdc3fc9d2ed4da36d3",
+        "8f16ca0b9d7c99d2b582eb647867d823a908aac25ecd06a958e785fda2ee563a",
+        "97b4f858bcfbce01151eda2c349cf9b42b27d4d3947e2d3407a3eb775f91fe47",
+    ),
+    "busy_day-2": (
+        "3da235457dc650f9676eedca6a4b96a37f4960d9b48281345747be0fde75e4aa",
+        "b1659ee1fd9c6d85d72ed127c6448e6912dfd16c8c73c6deb58ccaecabe8132d",
+        "02b987a097fe224458371317b201e463a3bdd20cf57799b8fc1bba8881822132",
+    ),
+    "busy_day-3": (
+        "e6b0f040d5f5b6d7c1689697f00b21f586f958b94acf7891a2486dc86d7efeca",
+        "284c569e5cb087de3e8f743baadfe97b8eb424c179113e6d816bad1177311276",
+        "e611a0c6897f1064110270a8038fdc644e104c52f27313d0f47e7958b8a6e463",
+    ),
+    "callback_snapshots-1": (
+        "d3749ee6e96a2a228df062c67d3c8d4023f6c5a9369222ae07ac9ea5e704c9ce",
+        "360e74f40cf15a503f42fcabcb8895999d2104b2bc591a99290948e941ec98bf",
+        "e0008a30b5b1390b7b1705e81c75df914a6512a3b1f3be529927d8fce444c774",
+    ),
+    "callback_snapshots-2": (
+        "cfe054e90c2c9d076d04d566028a20769fc7d4e8c66a5f972569ded93bc4ace1",
+        "86174323abb002033972054e883582f95cfd24e7e8bbbaf3133bbfd3d3754866",
+        "ad94fb40f2b1e23afb2f134600095fe7b653392cb47216e192c2489487a863b7",
+    ),
+    "callback_snapshots-3": (
+        "426d1d264743992c3fd5f5ca9c532594ef9c4eef19e0d9ee397b70f4abdd4f11",
+        "3f03b7a064f5e7d8c83cd07a45ce37eafbd9b220721f7d0ee843c5066885c0e7",
+        "c937e0182c4cf920824878d7b61dc521df12f275aa892ee2065a8df08c201ee3",
+    ),
+    "unreachable_callees-1": (
+        "946f4ba12a14aa46f2d89a9dcc2e08dfd8d5ab725534a88135b7b72d37586883",
+        "e1c247919a070911c260a280f02ee64dc9ab6809e2da8d015994b1c0e0a51d81",
+        "b643bc0572135606afcc80e4269d7b9d218531b2e198a9f053795f0a70447e5f",
+    ),
+    "unreachable_callees-2": (
+        "c0819a2a7a1aea1feae0ba2b263f086c95db7cdb1262102907e6048d586b94b6",
+        "c9d209189fffcdc7a0ae74c45c489b22c599cde3a7bc3daa664e4e6d5a14d12c",
+        "f03137b09d3922949adc7de8a8bef9432034209da4cfb03f2949724e20d3f958",
+    ),
+    "unreachable_callees-3": (
+        "11b6ff4754f92baec17ee789866c50063f9ad93005bf1068462f9b5fa68468b0",
+        "fe5fbdbd23d1d3c2d75e8e433190a1cb988084f083bf6a495f4658593952ea02",
+        "71199a8ead9d023438f0224315c03131fddab1e66d077a5841688ffda1ace6ce",
+    ),
+}
+
+
+def _load_gen():
+    spec = importlib.util.spec_from_file_location("bench_gen", ROOT / "bench" / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _replay(inputs: Path, outputs: Path) -> tuple[str, str]:
+    """Run the way ``alertagent run`` does; returns the log and kb-out sha256."""
+    log, kb = run_scenario(
+        parse_scenario(inputs / "scenario.jsonl"),
+        load_config(inputs / "config.json"),
+        load_kb(inputs / "kb.json"),
+    )
+    outputs.mkdir(parents=True, exist_ok=True)
+    write_alert_log(log, outputs / "log.jsonl")
+    save_kb(kb, outputs / "kb.json")
+    return _sha256(outputs / "log.jsonl"), _sha256(outputs / "kb.json")
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_golden_outputs(case, tmp_path):
+    scenario_sha, log_sha, kb_sha = GOLDEN[case]
+    if case == "sample":
+        inputs = ROOT / "sample"
+    else:
+        workload, seed = case.rsplit("-", 1)
+        inputs = tmp_path / "in"
+        _load_gen().generate(workload, int(seed), inputs, SCALE)
+        assert _sha256(inputs / "scenario.jsonl") == scenario_sha, "generator drift"
+    assert _replay(inputs, tmp_path / "out") == (log_sha, kb_sha)

@@ -55,9 +55,7 @@ def test_safety_enter_clears_and_exit_restarts_exposure():
 def test_repeated_transitions_are_idempotent():
     monitor = CallMonitor(LIMIT)
     monitor.start_call(0, "c1", safety=False)
-    token = monitor.epoch_token
     monitor.on_safety(1000, entering=False)  # already exposed
-    assert monitor.epoch_token == token
     assert monitor.exposure_ms(2000) == 2000
     monitor.on_safety(3000, entering=True)
     monitor.on_safety(4000, entering=True)  # already in safety mode

@@ -20,14 +20,14 @@ def test_temporary_importance_rings_first_time():
 
 def test_group_a_rings_on_first_call():
     gate = SleepGate()
-    gate.set_active(True, 0)
+    gate.set_active(True)
     decision, _ = gate.on_call("a", alert_ordinal(Group.A, False))
     assert decision == RING
 
 
 def test_group_d_rings_on_sixth_call():
     gate = SleepGate()
-    gate.set_active(True, 0)
+    gate.set_active(True)
     ordinal = alert_ordinal(Group.D, False)
     decisions = [gate.on_call("d", ordinal)[0] for _ in range(6)]
     assert decisions == [SUPPRESS] * 5 + [RING]
@@ -35,7 +35,7 @@ def test_group_d_rings_on_sixth_call():
 
 def test_counter_resets_after_ring():
     gate = SleepGate()
-    gate.set_active(True, 0)
+    gate.set_active(True)
     ordinal = alert_ordinal(Group.B, False)
     decisions = [gate.on_call("b", ordinal)[0] for _ in range(4)]
     assert decisions == [SUPPRESS, RING, SUPPRESS, RING]
@@ -49,11 +49,11 @@ def test_calls_outside_a_session_always_ring():
 
 def test_deactivation_clears_counters():
     gate = SleepGate()
-    gate.set_active(True, 0)
+    gate.set_active(True)
     ordinal = alert_ordinal(Group.B, False)
     assert gate.on_call("b", ordinal)[0] == SUPPRESS
-    gate.set_active(False, 1000)
-    gate.set_active(True, 2000)
+    gate.set_active(False)
+    gate.set_active(True)
     # A fresh session starts counting from zero again.
     assert gate.on_call("b", ordinal)[0] == SUPPRESS
     assert gate.on_call("b", ordinal)[0] == RING
@@ -61,9 +61,9 @@ def test_deactivation_clears_counters():
 
 def test_set_active_is_idempotent():
     gate = SleepGate()
-    gate.set_active(True, 0)
+    gate.set_active(True)
     gate.on_call("b", 2)
-    gate.set_active(True, 500)  # no-op, counters kept
+    gate.set_active(True)  # no-op, counters kept
     assert gate.on_call("b", 2)[0] == RING
 
 
@@ -72,7 +72,7 @@ def test_decision_pattern_over_random_call_sequences():
     groups = {"a": Group.A, "b": Group.B, "c": Group.C, "d": Group.D}
     for _ in range(200):
         gate = SleepGate()
-        gate.set_active(True, 0)
+        gate.set_active(True)
         temp = {cid: rng.random() < 0.2 for cid in groups}
         seen: dict[str, list[str]] = {cid: [] for cid in groups}
         for _ in range(rng.randrange(0, 80)):
