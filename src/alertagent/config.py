@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import IO, Any
 
 from .errors import ConfigError
-from .model import AgentConfig, BatteryAction, BatteryActionSpec, read_text
+from .model import AgentConfig, BatteryAction, BatteryActionSpec, read_json
 
 _INT_FIELDS = (
     "battery_critical_pct",
@@ -20,7 +19,7 @@ _INT_FIELDS = (
 _FLOAT_FIELDS = ("precall_prob_threshold", "sorter_t_floor_min")
 _ALL_FIELDS = _INT_FIELDS + _FLOAT_FIELDS + ("battery_actions",)
 
-_ACTION_NAMES = {a.value for a in BatteryAction}
+_ACTION_NAMES = tuple(a.value for a in BatteryAction)  # a set would raise TypeError on a list
 
 
 def _parse_action(obj: Any, index: int) -> BatteryActionSpec:
@@ -73,10 +72,4 @@ def config_from_dict(doc: Any) -> AgentConfig:
 
 
 def load_config(source: str | Path | IO[str]) -> AgentConfig:
-    try:
-        doc = json.loads(read_text(source))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    return config_from_dict(doc)
+    return config_from_dict(read_json(source, ConfigError))

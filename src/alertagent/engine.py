@@ -28,13 +28,12 @@ from .forwarder import AttendanceLedger, matching_devices
 from .kb import KnowledgeBase
 from .model import (
     ALERT_KINDS,
-    EVENT_KINDS,
     USER_FACING_ALERT_KINDS,
     AgentConfig,
     Alert,
     BatteryAction,
     Event,
-    read_text,
+    read_json_lines,
     write_text,
 )
 from .radiation import CallMonitor, is_unsafe_call, should_warn_precall, unsafe_probability
@@ -54,89 +53,74 @@ class Scenario:
 
 _CONTEXT_NAMES = {c.value for c in Context}
 
-
-def _need_str(data: dict[str, Any], name: str, lineno: int, choices=None) -> str:
-    value = data.get(name)
-    if not isinstance(value, str) or not value:
-        raise ScenarioError(f"line {lineno}: field {name!r} must be a non-empty string")
-    if choices is not None and value not in choices:
-        raise ScenarioError(f"line {lineno}: field {name!r} must be one of {sorted(choices)}")
-    return value
+# Field specs are (check, default) pairs. A check returns what is wrong with a
+# value, or None; a field whose default is _REQUIRED must be given.
+_REQUIRED = object()
 
 
-def _need_int(data: dict[str, Any], name: str, lineno: int, lo=None, hi=None) -> int:
-    value = data.get(name)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ScenarioError(f"line {lineno}: field {name!r} must be an integer")
-    if (lo is not None and value < lo) or (hi is not None and value > hi):
-        raise ScenarioError(f"line {lineno}: field {name!r} out of range")
-    return value
+def _need_str(choices=None):
+    def check(value: Any) -> str | None:
+        if not isinstance(value, str) or not value:
+            return "must be a non-empty string"
+        if choices is not None and value not in choices:
+            return f"must be one of {sorted(choices)}"
+        return None
+
+    return check, _REQUIRED
 
 
-def _need_bool(data: dict[str, Any], name: str, lineno: int) -> bool:
-    value = data.get(name)
-    if not isinstance(value, bool):
-        raise ScenarioError(f"line {lineno}: field {name!r} must be a boolean")
-    return value
+def _need_int(lo: int, hi: int | None = None):
+    def check(value: Any) -> str | None:
+        if not isinstance(value, int) or isinstance(value, bool):
+            return "must be an integer"
+        if value < lo or (hi is not None and value > hi):
+            return "out of range"
+        return None
+
+    return check, _REQUIRED
 
 
-# kind -> (required fields, optional fields)
-_EVENT_FIELDS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
-    "call_start": (("caller",), ("safety",)),
-    "call_end": ((), ()),
-    "call_failed": (("callee", "reason"), ()),
-    "message_received": (("caller",), ()),
-    "battery_level": (("pct",), ()),
-    "sensor": (("signal_kind", "signal_value"), ()),
-    "user_context": (("context",), ()),
-    "user_response": (("prompt_id", "answer"), ()),
-    "delivery_report": (("tracking_msg_id", "positive"), ()),
-    "notification_attended": (("alert_id",), ()),
-    "sleep_mode": (("on",), ()),
-    "safety_mode_enter": ((), ()),
-    "safety_mode_exit": ((), ()),
-    "snapshot_request": ((), ()),
+def _need_bool(default: Any = _REQUIRED):
+    def check(value: Any) -> str | None:
+        return None if isinstance(value, bool) else "must be a boolean"
+
+    return check, default
+
+
+# Every event kind, with the fields it carries besides t and type.
+_EVENT_FIELDS: dict[str, dict[str, tuple[Any, Any]]] = {
+    "call_start": {"caller": _need_str(), "safety": _need_bool(default=False)},
+    "call_end": {},
+    "call_failed": {"callee": _need_str(), "reason": _need_str(FAILURE_REASONS)},
+    "message_received": {"caller": _need_str()},
+    "battery_level": {"pct": _need_int(0, 100)},
+    "sensor": {"signal_kind": _need_str(SENSOR_SIGNAL_KINDS), "signal_value": _need_str()},
+    "user_context": {"context": _need_str(_CONTEXT_NAMES)},
+    "user_response": {"prompt_id": _need_str(), "answer": _need_str(("yes", "no"))},
+    "delivery_report": {"tracking_msg_id": _need_str(), "positive": _need_bool()},
+    "notification_attended": {"alert_id": _need_int(1)},
+    "sleep_mode": {"on": _need_bool()},
+    "safety_mode_enter": {},
+    "safety_mode_exit": {},
+    "snapshot_request": {},
 }
 
 
 def _validate_event(kind: str, data: dict[str, Any], lineno: int) -> dict[str, Any]:
-    required, optional = _EVENT_FIELDS[kind]
-    for name in required:
-        if name not in data:
-            raise ScenarioError(f"line {lineno}: missing field {name!r}")
-    allowed = set(required) | set(optional)
+    """Check an event's fields against its kind's table row; fill in defaults."""
+    fields = _EVENT_FIELDS[kind]
     for name in data:
-        if name not in allowed:
+        if name not in fields:
             raise ScenarioError(f"line {lineno}: unknown field {name!r}")
-
-    if kind == "call_start":
-        _need_str(data, "caller", lineno)
-        if "safety" in data:
-            _need_bool(data, "safety", lineno)
+    for name, (check, default) in fields.items():
+        if name not in data:
+            if default is _REQUIRED:
+                raise ScenarioError(f"line {lineno}: missing field {name!r}")
+            data[name] = default
         else:
-            data["safety"] = False
-    elif kind == "call_failed":
-        _need_str(data, "callee", lineno)
-        _need_str(data, "reason", lineno, choices=FAILURE_REASONS)
-    elif kind == "message_received":
-        _need_str(data, "caller", lineno)
-    elif kind == "battery_level":
-        _need_int(data, "pct", lineno, lo=0, hi=100)
-    elif kind == "sensor":
-        _need_str(data, "signal_kind", lineno, choices=SENSOR_SIGNAL_KINDS)
-        _need_str(data, "signal_value", lineno)
-    elif kind == "user_context":
-        _need_str(data, "context", lineno, choices=_CONTEXT_NAMES)
-    elif kind == "user_response":
-        _need_str(data, "prompt_id", lineno)
-        _need_str(data, "answer", lineno, choices=("yes", "no"))
-    elif kind == "delivery_report":
-        _need_str(data, "tracking_msg_id", lineno)
-        _need_bool(data, "positive", lineno)
-    elif kind == "notification_attended":
-        _need_int(data, "alert_id", lineno, lo=1)
-    elif kind == "sleep_mode":
-        _need_bool(data, "on", lineno)
+            problem = check(data[name])
+            if problem is not None:
+                raise ScenarioError(f"line {lineno}: field {name!r} {problem}")
     return data
 
 
@@ -148,20 +132,11 @@ def parse_scenario(source: str | Path | IO[str], name: str = "scenario") -> Scen
     """
     events: list[Event] = []
     prev_t = 0
-    for lineno, raw in enumerate(read_text(source).splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"line {lineno}: invalid JSON: {exc.msg}") from exc
-        if not isinstance(obj, dict):
-            raise ScenarioError(f"line {lineno}: event must be an object")
+    for lineno, obj in read_json_lines(source, ScenarioError):
         if "type" not in obj:
             raise ScenarioError(f"line {lineno}: missing field 'type'")
         kind = obj["type"]
-        if kind not in EVENT_KINDS:
+        if not isinstance(kind, str) or kind not in _EVENT_FIELDS:
             raise ScenarioError(f"line {lineno}: unknown event type {kind!r}")
         if "t" not in obj:
             raise ScenarioError(f"line {lineno}: missing field 't'")
@@ -173,7 +148,7 @@ def parse_scenario(source: str | Path | IO[str], name: str = "scenario") -> Scen
                 f"line {lineno}: timestamp {t} is earlier than the previous event at {prev_t}"
             )
         prev_t = t
-        data = {key: value for key, value in obj.items() if key not in ("t", "type")}
+        data = {key: value for key, value in obj.items() if key != "t" and key != "type"}
         events.append(Event(t=t, seq=lineno, kind=kind, data=_validate_event(kind, data, lineno)))
     return Scenario(name=name, events=events)
 
@@ -199,16 +174,7 @@ def write_alert_log(log: AlertLog, sink: str | Path | IO[str]) -> None:
 def read_alert_log(source: str | Path | IO[str]) -> list[Alert]:
     """Parse a written alert log back into Alert values (for reporting)."""
     alerts: list[Alert] = []
-    for lineno, raw in enumerate(read_text(source).splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise AlertLogError(f"line {lineno}: invalid JSON: {exc.msg}") from exc
-        if not isinstance(obj, dict):
-            raise AlertLogError(f"line {lineno}: entry must be an object")
+    for lineno, obj in read_json_lines(source, AlertLogError):
         for name in ("t", "seq", "kind"):
             if name not in obj:
                 raise AlertLogError(f"line {lineno}: missing field {name!r}")
@@ -260,7 +226,7 @@ class Engine:
         self.entries: list[Alert] = []
         self.diagnostics: list[str] = []
         self._timeouts: list[tuple[int, int, str]] = []
-        self._handlers = {kind: getattr(self, f"_on_{kind}") for kind in EVENT_KINDS}
+        self._handlers = {kind: getattr(self, f"_on_{kind}") for kind in _EVENT_FIELDS}
 
     # -- plumbing -----------------------------------------------------------
 

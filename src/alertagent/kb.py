@@ -24,15 +24,15 @@ from typing import IO, Any
 from .context import Context
 from .errors import KnowledgeBaseError
 from .forwarder import DeviceRegistration
-from .model import ALERT_KINDS, Contact, Group, read_text, write_text
+from .model import ALERT_KINDS, Contact, Group, read_json, write_text
 
 _TOP_KEYS = ("contacts", "context_signals", "devices", "safety_records")
 _CONTACT_KEYS = ("id", "name", "group", "temp_important")
 _DEVICE_KEYS = ("device_id", "contexts", "kinds")
 _RECORD_KEYS = ("total", "unsafe")
 
-_CONTEXT_NAMES = {c.value for c in Context}
-_GROUP_NAMES = {g.value for g in Group}
+_CONTEXT_NAMES = tuple(c.value for c in Context)  # tuples: a set raises TypeError on a list
+_GROUP_NAMES = tuple(g.value for g in Group)
 
 
 @dataclass
@@ -165,9 +165,7 @@ def _parse_record(obj: Any, caller_id: str) -> SafetyRecord:
     for key in _RECORD_KEYS:
         if not isinstance(obj[key], int) or isinstance(obj[key], bool):
             raise KnowledgeBaseError(f"{where}: {key} must be an integer")
-    record = SafetyRecord(total_calls=obj["total"], unsafe_calls=obj["unsafe"])
-    record.validate(caller_id)
-    return record
+    return SafetyRecord(total_calls=obj["total"], unsafe_calls=obj["unsafe"])
 
 
 def kb_from_dict(doc: Any) -> KnowledgeBase:
@@ -199,8 +197,6 @@ def kb_from_dict(doc: Any) -> KnowledgeBase:
 
     context_signals: dict[str, Context] = {}
     for signal, name in doc["context_signals"].items():
-        if not signal:
-            raise KnowledgeBaseError("context_signals: signal key must be non-empty")
         if name not in _CONTEXT_NAMES:
             raise KnowledgeBaseError(f"context_signals[{signal!r}]: unknown context {name!r}")
         context_signals[signal] = Context(name)
@@ -251,13 +247,7 @@ def kb_to_text(kb: KnowledgeBase) -> str:
 
 def load_kb(source: str | Path | IO[str]) -> KnowledgeBase:
     """Parse and validate a knowledge-base document from a path or stream."""
-    try:
-        doc = json.loads(read_text(source))
-    except json.JSONDecodeError as exc:
-        raise KnowledgeBaseError(
-            f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    return kb_from_dict(doc)
+    return kb_from_dict(read_json(source, KnowledgeBaseError))
 
 
 def save_kb(kb: KnowledgeBase, sink: str | Path | IO[str]) -> None:

@@ -1,20 +1,88 @@
-"""Core domain types: contact groups, events, alerts, agent configuration."""
+"""Core domain types (contact groups, events, alerts, agent configuration) and
+the strict JSON readers every input file goes through."""
 
 from __future__ import annotations
 
+import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import IO, Any
+from typing import IO, Any, Iterator
 
-from .errors import ConfigError
+from .errors import ConfigError, InputError
 
 
-def read_text(source: str | Path | IO[str]) -> str:
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"duplicate key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return obj
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
+# RFC 8259 JSON with unique keys and finite numbers. Plain json.loads accepts
+# NaN and Infinity (which json.dumps then writes back, making invalid JSON),
+# lets the last of two equal keys win, and reads 1e999 as infinity. The hooks
+# raise ValueError, as int() does for a literal longer than Python's digit limit.
+_DECODER = json.JSONDecoder(
+    object_pairs_hook=_unique_keys, parse_constant=_finite_float, parse_float=_finite_float
+)
+
+
+def _read_text(source: str | Path | IO[str], error: type[InputError]) -> str:
     """Whole text of a file path (UTF-8) or of an open text stream."""
-    if isinstance(source, (str, Path)):
+    if not isinstance(source, (str, Path)):
+        return source.read()
+    try:
         return Path(source).read_text(encoding="utf-8")
-    return source.read()
+    except UnicodeDecodeError as exc:
+        line = exc.object[: exc.start].count(b"\n") + 1
+        raise error(f"line {line}: invalid UTF-8: {exc.reason}") from exc
+
+
+def _decode(text: str, error: type[InputError], line: int | None = None) -> Any:
+    """Decode one JSON text; ``line`` is its line number when it is one line of a file."""
+    where = "" if line is None else f"line {line}: "
+    try:
+        return _DECODER.decode(text)
+    except json.JSONDecodeError as exc:
+        if line is None:
+            where = f"line {exc.lineno}, column {exc.colno}: "
+        raise error(f"{where}invalid JSON: {exc.msg}") from exc
+    except ValueError as exc:
+        raise error(f"{where}invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise error(f"{where}invalid JSON: nested too deeply") from None
+
+
+def read_json(source: str | Path | IO[str], error: type[InputError]) -> Any:
+    """Strictly decode a whole JSON document; any fault raises ``error``."""
+    return _decode(_read_text(source, error), error)
+
+
+def read_json_lines(
+    source: str | Path | IO[str], error: type[InputError]
+) -> Iterator[tuple[int, dict[str, Any]]]:
+    """(1-based line number, object) for each non-blank line of a JSON-lines file.
+
+    Lines end at "\\n" only (str.splitlines also splits at a raw U+2028 inside
+    a string). Each line is decoded like ``read_json`` and must hold an object.
+    """
+    for lineno, raw in enumerate(_read_text(source, error).split("\n"), start=1):
+        line = raw.strip()
+        if line:
+            obj = _decode(line, error, lineno)
+            if not isinstance(obj, dict):
+                raise error(f"line {lineno}: expected a JSON object")
+            yield lineno, obj
 
 
 def write_text(sink: str | Path | IO[str], text: str) -> None:
@@ -48,24 +116,6 @@ class Contact:
     display_name: str
     group: Group
     temp_important: bool = False
-
-
-EVENT_KINDS: tuple[str, ...] = (
-    "call_start",
-    "call_end",
-    "call_failed",
-    "message_received",
-    "battery_level",
-    "sensor",
-    "user_context",
-    "user_response",
-    "delivery_report",
-    "notification_attended",
-    "sleep_mode",
-    "safety_mode_enter",
-    "safety_mode_exit",
-    "snapshot_request",
-)
 
 
 @dataclass(frozen=True)
@@ -172,8 +222,8 @@ class AgentConfig:
         for name in ("safe_call_limit_ms", "attend_window_ms", "tracker_timeout_ms"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name}: must be positive")
-        if self.sorter_t_floor_min <= 0:
-            raise ConfigError("sorter_t_floor_min: must be positive")
+        if not (math.isfinite(self.sorter_t_floor_min) and self.sorter_t_floor_min > 0):
+            raise ConfigError("sorter_t_floor_min: must be positive and finite")
         if not 0.0 <= self.precall_prob_threshold <= 1.0:
             raise ConfigError("precall_prob_threshold: must be within [0, 1]")
         if self.precall_min_calls < 0:

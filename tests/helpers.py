@@ -2,12 +2,26 @@
 
 from __future__ import annotations
 
+import importlib.util
 import io
 import json
+from pathlib import Path
+from types import ModuleType
 from typing import Any
 
 from alertagent.engine import AlertLog, Scenario, parse_scenario, write_alert_log
 from alertagent.kb import KnowledgeBase, load_kb
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_bench_gen() -> ModuleType:
+    """The benchmark's seeded input generator, ``bench/gen.py``."""
+    spec = importlib.util.spec_from_file_location("bench_gen", ROOT / "bench" / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def kb_doc(

@@ -180,3 +180,76 @@ def test_report_malformed_log_is_code_1(tmp_path, capsys):
     log = tmp_path / "log.jsonl"
     log.write_text("junk\n", encoding="utf-8")
     assert main(["report", "--log", str(log)]) == 1
+
+
+def _assert_input_error(capsys, path, line=None):
+    err = capsys.readouterr().err
+    assert path.name in err
+    assert "internal error" not in err and "Traceback" not in err
+    if line is not None:
+        assert f"line {line}:" in err
+    return err
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_config_with_non_finite_number_is_code_1(tmp_path, capsys, literal):
+    config = tmp_path / "config.json"
+    config.write_text('{"sorter_t_floor_min": %s}' % literal, encoding="utf-8")
+    assert main(["validate", "--config", str(config)]) == 1
+    assert literal in _assert_input_error(capsys, config)
+
+
+def test_report_rejects_non_finite_score(tmp_path, capsys):
+    log = tmp_path / "log.jsonl"
+    log.write_text(
+        '{"t":0,"seq":1,"kind":"ring","caller":"c1"}\n'
+        '{"t":0,"seq":2,"kind":"sorted_list_snapshot",'
+        '"entries":[{"caller":"c1","kind":"call","score":NaN}]}\n',
+        encoding="utf-8",
+    )
+    assert main(["report", "--log", str(log)]) == 1
+    _assert_input_error(capsys, log, line=2)
+
+
+@pytest.mark.parametrize(
+    "option, text, key, line",
+    [
+        (
+            "--scenario",
+            '{"t": 0, "type": "battery_level", "pct": 90}\n'
+            '{"t": 1, "type": "battery_level", "pct": 50, "pct": 2}\n',
+            "pct",
+            2,
+        ),
+        ("--kb", json.dumps(kb_doc())[:-1] + ', "safety_records": {}}', "safety_records", None),
+        ("--config", '{"attend_window_ms": 1, "attend_window_ms": 2}', "attend_window_ms", None),
+    ],
+    ids=["scenario", "kb", "config"],
+)
+def test_duplicate_key_is_code_1(tmp_path, capsys, option, text, key, line):
+    path = tmp_path / "input.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["validate", option, str(path)]) == 1
+    assert f"duplicate key {key!r}" in _assert_input_error(capsys, path, line)
+
+
+_NOT_UTF8 = b'\n{"caller": "caf\xe9"}\n'
+_TOO_DEEP = b"\n" + b"[" * 100_000 + b"]" * 100_000 + b"\n"
+
+
+@pytest.mark.parametrize("payload", [_NOT_UTF8, _TOO_DEEP], ids=["not_utf8", "too_deep"])
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["validate", "--scenario"], 2),
+        (["validate", "--kb"], None),
+        (["validate", "--config"], None),
+        (["report", "--log"], 2),
+    ],
+    ids=["scenario", "kb", "config", "log"],
+)
+def test_undecodable_input_is_code_1(tmp_path, capsys, argv, line, payload):
+    path = tmp_path / "input.json"
+    path.write_bytes(payload)
+    assert main(argv + [str(path)]) == 1
+    _assert_input_error(capsys, path, line)

@@ -49,6 +49,7 @@ def test_battery_actions_parse_in_order():
         {"battery_actions": [{"kind": "shout"}]},
         {"battery_actions": [{"kind": "send_status_sms"}]},  # destination required
         {"battery_critical_pct": 30, "battery_rearm_pct": 20},
+        {"battery_actions": [{"kind": ["inform_caller"]}]},
     ],
 )
 def test_bad_configs_are_rejected(doc):

@@ -38,6 +38,16 @@ def test_parse_single_event_and_seq_by_line_number():
     assert scenario.events[0].seq == 2  # blank first line still counts
 
 
+def test_parse_splits_lines_at_newline_only():
+    text = (
+        '{"t": 0, "type": "message_received", "caller": "a\u2028b\x85c"}\n'
+        '{"t": 1, "type": "call_end"}'
+    )
+    scenario = parse_scenario(io.StringIO(text))
+    assert scenario.events[0].data["caller"] == "a\u2028b\x85c"
+    assert [ev.seq for ev in scenario.events] == [1, 2]
+
+
 def test_parse_rejects_out_of_range_pct():
     with pytest.raises(ScenarioError) as err:
         parse_scenario(io.StringIO('{"t": 0, "type": "battery_level", "pct": 101}'))

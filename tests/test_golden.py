@@ -10,7 +10,6 @@ generator replays the scenario once with this engine to name attendance ids).
 from __future__ import annotations
 
 import hashlib
-import importlib.util
 from pathlib import Path
 
 import pytest
@@ -19,7 +18,8 @@ from alertagent.config import load_config
 from alertagent.engine import parse_scenario, run_scenario, write_alert_log
 from alertagent.kb import load_kb, save_kb
 
-ROOT = Path(__file__).resolve().parent.parent
+from helpers import ROOT, load_bench_gen
+
 SCALE = 0.2
 
 # case -> (scenario.jsonl, log, kb-out) sha256; the sample's scenario is a
@@ -78,13 +78,6 @@ GOLDEN = {
 }
 
 
-def _load_gen():
-    spec = importlib.util.spec_from_file_location("bench_gen", ROOT / "bench" / "gen.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -110,6 +103,6 @@ def test_golden_outputs(case, tmp_path):
     else:
         workload, seed = case.rsplit("-", 1)
         inputs = tmp_path / "in"
-        _load_gen().generate(workload, int(seed), inputs, SCALE)
+        load_bench_gen().generate(workload, int(seed), inputs, SCALE)
         assert _sha256(inputs / "scenario.jsonl") == scenario_sha, "generator drift"
     assert _replay(inputs, tmp_path / "out") == (log_sha, kb_sha)

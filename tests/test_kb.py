@@ -116,6 +116,12 @@ def test_record_call_keeps_invariant_over_random_sequences():
         (kb_doc(devices=[{"device_id": "d", "contexts": ["Home"], "kinds": ["boom"]}]), "kind"),
         (kb_doc(signals={"wifi_network:x": "Moon"}), "context"),
         (kb_doc(safety={"c": {"total": -1, "unsafe": -1}}), "nonnegative"),
+        (kb_doc(signals={"wifi_network:x": ["Home"]}), "context"),
+        (kb_doc(contacts=[contact_doc("a", "A") | {"group": ["A"]}]), "group"),
+        (
+            kb_doc(devices=[{"device_id": "d", "contexts": [["Home"]], "kinds": ["ring"]}]),
+            "context",
+        ),
     ],
 )
 def test_malformed_documents_are_rejected(doc, fragment):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from alertagent.errors import ConfigError
@@ -49,6 +51,8 @@ def test_config_rejects_inverted_battery_thresholds():
         {"sorter_t_floor_min": 0.0},
         {"precall_prob_threshold": 1.5},
         {"precall_min_calls": -1},
+        {"sorter_t_floor_min": math.nan},
+        {"sorter_t_floor_min": math.inf},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
