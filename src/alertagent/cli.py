@@ -77,9 +77,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     messages: Counter[str] = Counter()
     for alert in alerts:
         if alert.kind in ("ring", "suppress_note"):
-            calls[alert.payload.get("caller", "?")] += 1
+            calls[alert.payload["caller"]] += 1
         elif alert.kind == "beep":
-            messages[alert.payload.get("caller", "?")] += 1
+            messages[alert.payload["caller"]] += 1
     if calls or messages:
         print("per-caller missed items:")
         for caller in sorted(set(calls) | set(messages)):
@@ -92,11 +92,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         print("callback list: no snapshot")
     else:
         print(f"callback list (snapshot at t={snapshot.t}):")
-        for rank, entry in enumerate(snapshot.payload.get("entries", []), start=1):
-            print(
-                f"  {rank}. {entry.get('caller')} ({entry.get('kind')}) "
-                f"score={entry.get('score')}"
-            )
+        for rank, entry in enumerate(snapshot.payload["entries"], start=1):
+            print(f"  {rank}. {entry['caller']} ({entry['kind']}) score={entry['score']}")
     return EXIT_OK
 
 

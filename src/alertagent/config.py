@@ -6,66 +6,49 @@ from pathlib import Path
 from typing import IO, Any
 
 from .errors import ConfigError
-from .model import AgentConfig, BatteryAction, BatteryActionSpec, read_json
-
-_INT_FIELDS = (
-    "battery_critical_pct",
-    "battery_rearm_pct",
-    "safe_call_limit_ms",
-    "precall_min_calls",
-    "attend_window_ms",
-    "tracker_timeout_ms",
+from .model import (
+    ABSENT,
+    AgentConfig,
+    BatteryAction,
+    BatteryActionSpec,
+    check_fields,
+    need_int,
+    need_str,
+    need_type,
+    read_json,
 )
-_FLOAT_FIELDS = ("precall_prob_threshold", "sorter_t_floor_min")
-_ALL_FIELDS = _INT_FIELDS + _FLOAT_FIELDS + ("battery_actions",)
 
-_ACTION_NAMES = tuple(a.value for a in BatteryAction)  # a set would raise TypeError on a list
+_INT = need_int(default=ABSENT)
+_NUMBER = need_type(float, default=ABSENT)  # read as a float, even when written as 1
 
-
-def _parse_action(obj: Any, index: int) -> BatteryActionSpec:
-    where = f"battery_actions[{index}]"
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: expected an object")
-    extra = [k for k in obj if k not in ("kind", "destination")]
-    if extra:
-        raise ConfigError(f"{where}: unknown field {extra[0]!r}")
-    kind = obj.get("kind")
-    if kind not in _ACTION_NAMES:
-        raise ConfigError(f"{where}: kind must be one of {sorted(_ACTION_NAMES)}")
-    destination = obj.get("destination", "")
-    if not isinstance(destination, str):
-        raise ConfigError(f"{where}: destination must be a string")
-    return BatteryActionSpec(kind=BatteryAction(kind), destination=destination)
+# Types only: AgentConfig holds the defaults and AgentConfig.validate the ranges.
+_CONFIG = {
+    "battery_critical_pct": _INT,
+    "battery_rearm_pct": _INT,
+    "safe_call_limit_ms": _INT,
+    "precall_prob_threshold": _NUMBER,
+    "precall_min_calls": _INT,
+    "attend_window_ms": _INT,
+    "tracker_timeout_ms": _INT,
+    "sorter_t_floor_min": _NUMBER,
+    "battery_actions": need_type(list, default=ABSENT),
+}
+_ACTIONS = {a.value: a for a in BatteryAction}
+_ACTION = {"kind": need_str(_ACTIONS), "destination": need_type(str, default=ABSENT)}
 
 
 def config_from_dict(doc: Any) -> AgentConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("config root: expected an object")
-    extra = [k for k in doc if k not in _ALL_FIELDS]
-    if extra:
-        raise ConfigError(f"config: unknown field {extra[0]!r}")
-
-    values: dict[str, Any] = {}
-    for name in _INT_FIELDS:
-        if name in doc:
-            value = doc[name]
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"{name}: must be an integer")
-            values[name] = value
-    for name in _FLOAT_FIELDS:
-        if name in doc:
-            value = doc[name]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"{name}: must be a number")
-            values[name] = float(value)
+    """The config a document describes; ``doc`` is left unchanged."""
+    check_fields(doc, _CONFIG, "config", ConfigError)
+    values = {
+        name: float(value) if _CONFIG[name] is _NUMBER else value for name, value in doc.items()
+    }
     if "battery_actions" in doc:
-        raw = doc["battery_actions"]
-        if not isinstance(raw, list):
-            raise ConfigError("battery_actions: expected an array")
-        values["battery_actions"] = tuple(
-            _parse_action(item, index) for index, item in enumerate(raw)
-        )
-
+        specs = []
+        for index, obj in enumerate(doc["battery_actions"]):
+            check_fields(obj, _ACTION, f"battery_actions[{index}]", ConfigError)
+            specs.append(BatteryActionSpec(_ACTIONS[obj["kind"]], obj.get("destination", "")))
+        values["battery_actions"] = tuple(specs)
     config = AgentConfig(**values)
     config.validate()
     return config

@@ -13,7 +13,6 @@ whitespace variance, so identical runs produce identical bytes.
 
 from __future__ import annotations
 
-import copy
 import heapq
 import json
 import math
@@ -27,12 +26,19 @@ from .errors import AlertLogError, ScenarioError
 from .forwarder import AttendanceLedger, matching_devices
 from .kb import KnowledgeBase
 from .model import (
-    ALERT_KINDS,
+    ABSENT,
+    REQUIRED,
     USER_FACING_ALERT_KINDS,
     AgentConfig,
     Alert,
     BatteryAction,
     Event,
+    Fields,
+    check_fields,
+    fields_problem,
+    need_int,
+    need_str,
+    need_type,
     read_json_lines,
     write_text,
 )
@@ -51,77 +57,29 @@ class Scenario:
     events: list[Event] = field(default_factory=list)
 
 
-_CONTEXT_NAMES = {c.value for c in Context}
-
-# Field specs are (check, default) pairs. A check returns what is wrong with a
-# value, or None; a field whose default is _REQUIRED must be given.
-_REQUIRED = object()
-
-
-def _need_str(choices=None):
-    def check(value: Any) -> str | None:
-        if not isinstance(value, str) or not value:
-            return "must be a non-empty string"
-        if choices is not None and value not in choices:
-            return f"must be one of {sorted(choices)}"
-        return None
-
-    return check, _REQUIRED
-
-
-def _need_int(lo: int, hi: int | None = None):
-    def check(value: Any) -> str | None:
-        if not isinstance(value, int) or isinstance(value, bool):
-            return "must be an integer"
-        if value < lo or (hi is not None and value > hi):
-            return "out of range"
-        return None
-
-    return check, _REQUIRED
-
-
-def _need_bool(default: Any = _REQUIRED):
-    def check(value: Any) -> str | None:
-        return None if isinstance(value, bool) else "must be a boolean"
-
-    return check, default
-
-
-# Every event kind, with the fields it carries besides t and type.
-_EVENT_FIELDS: dict[str, dict[str, tuple[Any, Any]]] = {
-    "call_start": {"caller": _need_str(), "safety": _need_bool(default=False)},
-    "call_end": {},
-    "call_failed": {"callee": _need_str(), "reason": _need_str(FAILURE_REASONS)},
-    "message_received": {"caller": _need_str()},
-    "battery_level": {"pct": _need_int(0, 100)},
-    "sensor": {"signal_kind": _need_str(SENSOR_SIGNAL_KINDS), "signal_value": _need_str()},
-    "user_context": {"context": _need_str(_CONTEXT_NAMES)},
-    "user_response": {"prompt_id": _need_str(), "answer": _need_str(("yes", "no"))},
-    "delivery_report": {"tracking_msg_id": _need_str(), "positive": _need_bool()},
-    "notification_attended": {"alert_id": _need_int(1)},
-    "sleep_mode": {"on": _need_bool()},
-    "safety_mode_enter": {},
-    "safety_mode_exit": {},
-    "snapshot_request": {},
+# Every event kind, with the fields it carries besides t and type. A field that
+# may be left out has a default, which parse_scenario fills in.
+_EVENT_FIELDS: dict[str, Fields] = {
+    kind: {"t": need_int(0), "type": need_str(), **fields}
+    for kind, fields in {
+        "call_start": {"caller": need_str(), "safety": need_type(bool, default=False)},
+        "call_end": {},
+        "call_failed": {"callee": need_str(), "reason": need_str(FAILURE_REASONS)},
+        "message_received": {"caller": need_str()},
+        "battery_level": {"pct": need_int(0, 100)},
+        "sensor": {"signal_kind": need_str(SENSOR_SIGNAL_KINDS), "signal_value": need_str()},
+        "user_context": {"context": need_str({c.value for c in Context})},
+        "user_response": {"prompt_id": need_str(), "answer": need_str(("yes", "no"))},
+        "delivery_report": {"tracking_msg_id": need_str(), "positive": need_type(bool)},
+        "notification_attended": {"alert_id": need_int(1)},
+        "sleep_mode": {"on": need_type(bool)},
+        "safety_mode_enter": {},
+        "safety_mode_exit": {},
+        "snapshot_request": {},
+    }.items()
 }
-
-
-def _validate_event(kind: str, data: dict[str, Any], lineno: int) -> dict[str, Any]:
-    """Check an event's fields against its kind's table row; fill in defaults."""
-    fields = _EVENT_FIELDS[kind]
-    for name in data:
-        if name not in fields:
-            raise ScenarioError(f"line {lineno}: unknown field {name!r}")
-    for name, (check, default) in fields.items():
-        if name not in data:
-            if default is _REQUIRED:
-                raise ScenarioError(f"line {lineno}: missing field {name!r}")
-            data[name] = default
-        else:
-            problem = check(data[name])
-            if problem is not None:
-                raise ScenarioError(f"line {lineno}: field {name!r} {problem}")
-    return data
+# The table for a line whose type is missing or names no event kind.
+_BAD_TYPE: Fields = {"type": (lambda kind: f"names an unknown event type: {kind!r}", REQUIRED)}
 
 
 def parse_scenario(source: str | Path | IO[str], name: str = "scenario") -> Scenario:
@@ -133,23 +91,21 @@ def parse_scenario(source: str | Path | IO[str], name: str = "scenario") -> Scen
     events: list[Event] = []
     prev_t = 0
     for lineno, obj in read_json_lines(source, ScenarioError):
-        if "type" not in obj:
-            raise ScenarioError(f"line {lineno}: missing field 'type'")
-        kind = obj["type"]
-        if not isinstance(kind, str) or kind not in _EVENT_FIELDS:
-            raise ScenarioError(f"line {lineno}: unknown event type {kind!r}")
-        if "t" not in obj:
-            raise ScenarioError(f"line {lineno}: missing field 't'")
+        kind = obj.get("type")
+        fields = _EVENT_FIELDS.get(kind, _BAD_TYPE) if isinstance(kind, str) else _BAD_TYPE
+        check_fields(obj, fields, lineno, ScenarioError)
         t = obj["t"]
-        if not isinstance(t, int) or isinstance(t, bool) or t < 0:
-            raise ScenarioError(f"line {lineno}: field 't' must be a nonnegative integer")
         if t < prev_t:
             raise ScenarioError(
                 f"line {lineno}: timestamp {t} is earlier than the previous event at {prev_t}"
             )
         prev_t = t
         data = {key: value for key, value in obj.items() if key != "t" and key != "type"}
-        events.append(Event(t=t, seq=lineno, kind=kind, data=_validate_event(kind, data, lineno)))
+        if len(obj) < len(fields):
+            for field_name, (_check, default) in fields.items():
+                if field_name not in obj:
+                    data[field_name] = default
+        events.append(Event(t=t, seq=lineno, kind=kind, data=data))
     return Scenario(name=name, events=events)
 
 
@@ -171,20 +127,61 @@ def write_alert_log(log: AlertLog, sink: str | Path | IO[str]) -> None:
     write_text(sink, "".join(alert_to_json(alert) + "\n" for alert in log.entries))
 
 
+_SNAPSHOT_ENTRY: Fields = {
+    "caller": need_str(),
+    "kind": need_str(("call", "message")),
+    "score": need_type(float),
+}
+
+
+def _snapshot_entries(value: Any) -> str | None:
+    if not isinstance(value, list):
+        return "must be an array"
+    for index, entry in enumerate(value):
+        problem = fields_problem(entry, _SNAPSHOT_ENTRY)
+        if problem is not None:
+            return f"item {index}: {problem}"
+    return None
+
+
+_CALLER = {"caller": need_str()}
+_PROMPT = {"prompt_id": need_str(), "callee": need_str()}
+_TRACKER = _PROMPT | {"tracking_msg_id": need_str()}
+
+# Every alert kind, with the payload fields it carries besides t, seq and kind.
+_ALERT_FIELDS: dict[str, Fields] = {
+    kind: {"t": need_int(), "seq": need_int(), "kind": need_str(), **fields}
+    for kind, fields in {
+        "ring": _CALLER,
+        "beep": _CALLER,
+        "suppress_note": _CALLER | {"count": need_int(), "ring_at": need_int()},
+        "prompt": _PROMPT | {"reason": need_str(FAILURE_REASONS)},
+        "tracker_message": _TRACKER,
+        "tracker_notify": _TRACKER,
+        "tracker_expired": _TRACKER,
+        "radiation_precall_warning": _CALLER | {"probability": need_type(float)},
+        "radiation_incall_warning": _CALLER | {"exposure_ms": need_int()},
+        "battery_action": {
+            "action": need_str({a.value for a in BatteryAction}),
+            "caller": need_str(default=ABSENT),
+            "destination": need_str(default=ABSENT),
+        },
+        "forward_to_device": {"device_id": need_str(), "alert": need_type(dict)},
+        "sorted_list_snapshot": {"entries": (_snapshot_entries, REQUIRED)},
+    }.items()
+}
+_BAD_KIND: Fields = {"kind": (lambda kind: f"names an unknown alert kind: {kind!r}", REQUIRED)}
+
+
 def read_alert_log(source: str | Path | IO[str]) -> list[Alert]:
     """Parse a written alert log back into Alert values (for reporting)."""
     alerts: list[Alert] = []
     for lineno, obj in read_json_lines(source, AlertLogError):
-        for name in ("t", "seq", "kind"):
-            if name not in obj:
-                raise AlertLogError(f"line {lineno}: missing field {name!r}")
-        if obj["kind"] not in ALERT_KINDS:
-            raise AlertLogError(f"line {lineno}: unknown alert kind {obj['kind']!r}")
-        for name in ("t", "seq"):
-            if not isinstance(obj[name], int) or isinstance(obj[name], bool):
-                raise AlertLogError(f"line {lineno}: field {name!r} must be an integer")
+        kind = obj.get("kind")
+        fields = _ALERT_FIELDS.get(kind, _BAD_KIND) if isinstance(kind, str) else _BAD_KIND
+        check_fields(obj, fields, lineno, AlertLogError)
         payload = {key: value for key, value in obj.items() if key not in ("t", "seq", "kind")}
-        alerts.append(Alert(t=obj["t"], seq=obj["seq"], kind=obj["kind"], payload=payload))
+        alerts.append(Alert(t=obj["t"], seq=obj["seq"], kind=kind, payload=payload))
     return alerts
 
 
@@ -212,7 +209,7 @@ class Engine:
         config.validate()
         kb.validate()
         self.config = config
-        self.kb = copy.deepcopy(kb)
+        self.kb = kb.copy()
 
         self.ctx = ContextEngine(self.kb.context_signals)
         self.battery = BatteryGuard(config)

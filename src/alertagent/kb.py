@@ -17,22 +17,62 @@ serialize to identical bytes, and load(save(kb)) reproduces an equal value.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import IO, Any
 
 from .context import Context
 from .errors import KnowledgeBaseError
 from .forwarder import DeviceRegistration
-from .model import ALERT_KINDS, Contact, Group, read_json, write_text
+from .model import (
+    ALERT_KINDS,
+    REQUIRED,
+    Contact,
+    Group,
+    check_fields,
+    need_choices,
+    need_int,
+    need_str,
+    need_type,
+    read_json,
+    write_text,
+)
 
-_TOP_KEYS = ("contacts", "context_signals", "devices", "safety_records")
-_CONTACT_KEYS = ("id", "name", "group", "temp_important")
-_DEVICE_KEYS = ("device_id", "contexts", "kinds")
-_RECORD_KEYS = ("total", "unsafe")
+_CONTEXTS = {c.value: c for c in Context}
+_GROUPS = {g.value: g for g in Group}
 
-_CONTEXT_NAMES = tuple(c.value for c in Context)  # tuples: a set raises TypeError on a list
-_GROUP_NAMES = tuple(g.value for g in Group)
+
+def _signal_map(value: Any) -> str | None:
+    """context_signals: an object that maps each signal key to a context name."""
+    if not isinstance(value, dict):
+        return "must be an object"
+    for signal, name in value.items():
+        if not isinstance(name, str) or name not in _CONTEXTS:
+            return f"maps {signal!r} to {name!r}, not one of {sorted(_CONTEXTS)}"
+    return None
+
+
+# Per-field types and choices. The rules that span fields or objects (ids
+# non-empty, device ids unique, counts nonnegative, unsafe <= total) are in
+# KnowledgeBase.validate, which knowledge bases built in code go through too.
+_TOP = {
+    "contacts": need_type(list),
+    "context_signals": (_signal_map, REQUIRED),
+    "devices": need_type(list),
+    "safety_records": need_type(dict),
+}
+_CONTACT = {
+    "id": need_type(str),
+    "name": need_type(str),
+    "group": need_str(_GROUPS),
+    "temp_important": need_type(bool),
+}
+_DEVICE = {
+    "device_id": need_type(str),
+    "contexts": need_choices(_CONTEXTS),
+    "kinds": need_choices(ALERT_KINDS),
+}
+_RECORD = {"total": need_int(), "unsafe": need_int()}
 
 
 @dataclass
@@ -79,18 +119,30 @@ class KnowledgeBase:
             record.unsafe_calls += 1
         return record
 
+    def copy(self) -> KnowledgeBase:
+        """A copy a run may change. Only ``record_call`` changes anything, so the
+        safety records are copied; contacts and devices are frozen and shared."""
+        return KnowledgeBase(
+            contacts=dict(self.contacts),
+            safety_records={
+                caller_id: replace(record) for caller_id, record in self.safety_records.items()
+            },
+            devices=list(self.devices),
+            context_signals=dict(self.context_signals),
+        )
+
     def validate(self) -> None:
         for key, contact in self.contacts.items():
             if not contact.id:
-                raise KnowledgeBaseError("contacts: contact id must be non-empty")
+                raise KnowledgeBaseError(f"contacts[{key!r}]: contact id must be non-empty")
             if key != contact.id:
                 raise KnowledgeBaseError(f"contacts[{key!r}]: key does not match contact id")
         for caller_id, record in self.safety_records.items():
             record.validate(caller_id)
         seen: set[str] = set()
-        for device in self.devices:
+        for index, device in enumerate(self.devices):
             if not device.device_id:
-                raise KnowledgeBaseError("devices: device_id must be non-empty")
+                raise KnowledgeBaseError(f"devices[{index}]: device_id must be non-empty")
             if device.device_id in seen:
                 raise KnowledgeBaseError(f"devices[{device.device_id!r}]: duplicate device_id")
             seen.add(device.device_id)
@@ -103,110 +155,24 @@ class KnowledgeBase:
                 raise KnowledgeBaseError("context_signals: signal key must be non-empty")
 
 
-def _require_keys(obj: dict[str, Any], keys: tuple[str, ...], where: str) -> None:
-    missing = [k for k in keys if k not in obj]
-    if missing:
-        raise KnowledgeBaseError(f"{where}: missing field {missing[0]!r}")
-    extra = [k for k in obj if k not in keys]
-    if extra:
-        raise KnowledgeBaseError(f"{where}: unknown field {extra[0]!r}")
-
-
-def _parse_contact(obj: Any, index: int) -> Contact:
-    where = f"contacts[{index}]"
-    if not isinstance(obj, dict):
-        raise KnowledgeBaseError(f"{where}: expected an object")
-    _require_keys(obj, _CONTACT_KEYS, where)
-    if not isinstance(obj["id"], str) or not obj["id"]:
-        raise KnowledgeBaseError(f"{where}: id must be a non-empty string")
-    if not isinstance(obj["name"], str):
-        raise KnowledgeBaseError(f"{where}: name must be a string")
-    if obj["group"] not in _GROUP_NAMES:
-        raise KnowledgeBaseError(f"{where}: group must be one of A, B, C, D")
-    if not isinstance(obj["temp_important"], bool):
-        raise KnowledgeBaseError(f"{where}: temp_important must be a boolean")
-    return Contact(
-        id=obj["id"],
-        display_name=obj["name"],
-        group=Group(obj["group"]),
-        temp_important=obj["temp_important"],
-    )
-
-
-def _parse_device(obj: Any, index: int) -> DeviceRegistration:
-    where = f"devices[{index}]"
-    if not isinstance(obj, dict):
-        raise KnowledgeBaseError(f"{where}: expected an object")
-    _require_keys(obj, _DEVICE_KEYS, where)
-    if not isinstance(obj["device_id"], str) or not obj["device_id"]:
-        raise KnowledgeBaseError(f"{where}: device_id must be a non-empty string")
-    for list_field in ("contexts", "kinds"):
-        value = obj[list_field]
-        if not isinstance(value, list) or not value:
-            raise KnowledgeBaseError(f"{where}: {list_field} must be a non-empty array")
-    for name in obj["contexts"]:
-        if name not in _CONTEXT_NAMES:
-            raise KnowledgeBaseError(f"{where}: unknown context {name!r}")
-    for kind in obj["kinds"]:
-        if kind not in ALERT_KINDS:
-            raise KnowledgeBaseError(f"{where}: unknown alert kind {kind!r}")
-    return DeviceRegistration(
-        device_id=obj["device_id"],
-        contexts=frozenset(Context(name) for name in obj["contexts"]),
-        kinds=frozenset(obj["kinds"]),
-    )
-
-
-def _parse_record(obj: Any, caller_id: str) -> SafetyRecord:
-    where = f"safety_records[{caller_id!r}]"
-    if not isinstance(obj, dict):
-        raise KnowledgeBaseError(f"{where}: expected an object")
-    _require_keys(obj, _RECORD_KEYS, where)
-    for key in _RECORD_KEYS:
-        if not isinstance(obj[key], int) or isinstance(obj[key], bool):
-            raise KnowledgeBaseError(f"{where}: {key} must be an integer")
-    return SafetyRecord(total_calls=obj["total"], unsafe_calls=obj["unsafe"])
-
-
 def kb_from_dict(doc: Any) -> KnowledgeBase:
-    if not isinstance(doc, dict):
-        raise KnowledgeBaseError("document root: expected an object")
-    _require_keys(doc, _TOP_KEYS, "document root")
-    if not isinstance(doc["contacts"], list):
-        raise KnowledgeBaseError("contacts: expected an array")
-    if not isinstance(doc["devices"], list):
-        raise KnowledgeBaseError("devices: expected an array")
-    if not isinstance(doc["safety_records"], dict):
-        raise KnowledgeBaseError("safety_records: expected an object")
-    if not isinstance(doc["context_signals"], dict):
-        raise KnowledgeBaseError("context_signals: expected an object")
-
-    contacts: dict[str, Contact] = {}
-    for index, raw in enumerate(doc["contacts"]):
-        contact = _parse_contact(raw, index)
-        if contact.id in contacts:
-            raise KnowledgeBaseError(f"contacts[{index}]: duplicate id {contact.id!r}")
-        contacts[contact.id] = contact
-
-    safety_records = {
-        caller_id: _parse_record(raw, caller_id)
-        for caller_id, raw in doc["safety_records"].items()
-    }
-
-    devices = [_parse_device(raw, index) for index, raw in enumerate(doc["devices"])]
-
-    context_signals: dict[str, Context] = {}
-    for signal, name in doc["context_signals"].items():
-        if name not in _CONTEXT_NAMES:
-            raise KnowledgeBaseError(f"context_signals[{signal!r}]: unknown context {name!r}")
-        context_signals[signal] = Context(name)
-
-    kb = KnowledgeBase(
-        contacts=contacts,
-        safety_records=safety_records,
-        devices=devices,
-        context_signals=context_signals,
-    )
+    """The knowledge base a document describes; ``doc`` is left unchanged."""
+    check_fields(doc, _TOP, "document root", KnowledgeBaseError)
+    signals = doc["context_signals"]
+    kb = KnowledgeBase(context_signals={key: _CONTEXTS[name] for key, name in signals.items()})
+    for index, obj in enumerate(doc["contacts"]):
+        check_fields(obj, _CONTACT, f"contacts[{index}]", KnowledgeBaseError)
+        if obj["id"] in kb.contacts:
+            raise KnowledgeBaseError(f"contacts[{index}]: duplicate id {obj['id']!r}")
+        group = _GROUPS[obj["group"]]
+        kb.contacts[obj["id"]] = Contact(obj["id"], obj["name"], group, obj["temp_important"])
+    for caller_id, obj in doc["safety_records"].items():
+        check_fields(obj, _RECORD, f"safety_records[{caller_id!r}]", KnowledgeBaseError)
+        kb.safety_records[caller_id] = SafetyRecord(obj["total"], obj["unsafe"])
+    for index, obj in enumerate(doc["devices"]):
+        check_fields(obj, _DEVICE, f"devices[{index}]", KnowledgeBaseError)
+        contexts = frozenset(_CONTEXTS[name] for name in obj["contexts"])
+        kb.devices.append(DeviceRegistration(obj["device_id"], contexts, frozenset(obj["kinds"])))
     kb.validate()
     return kb
 

@@ -1,5 +1,6 @@
-"""Core domain types (contact groups, events, alerts, agent configuration) and
-the strict JSON readers every input file goes through."""
+"""Core domain types (contact groups, events, alerts, agent configuration), the
+strict JSON readers every input file goes through, and the field tables every
+input object is checked against."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import IO, Any, Iterator
+from typing import IO, Any, Callable, Iterator
 
 from .errors import ConfigError, InputError
 
@@ -91,6 +92,95 @@ def write_text(sink: str | Path | IO[str], text: str) -> None:
         Path(sink).write_text(text, encoding="utf-8")
     else:
         sink.write(text)
+
+
+# A field table maps each field an object may hold to (check, default). A check
+# returns what is wrong with a value, or None. A field whose default is
+# REQUIRED must be given; any other may be left out, and ABSENT means it has no
+# default value. Only parse_scenario fills in defaults; check_fields never does.
+Fields = dict[str, tuple[Callable[[Any], Any], Any]]
+REQUIRED = object()
+ABSENT = object()
+
+
+def need_str(choices: Any = None, default: Any = REQUIRED):
+    """A non-empty string, one of ``choices`` if given."""
+
+    def check(value: Any) -> str | None:
+        if not isinstance(value, str) or not value:
+            return "must be a non-empty string"
+        if choices is not None and value not in choices:
+            return f"must be one of {sorted(choices)}"
+        return None
+
+    return check, default
+
+
+def need_int(lo: int | None = None, hi: int | None = None, default: Any = REQUIRED):
+    def check(value: Any) -> str | None:
+        if not isinstance(value, int) or isinstance(value, bool):
+            return "must be an integer"
+        if (lo is not None and value < lo) or (hi is not None and value > hi):
+            return "out of range"
+        return None
+
+    return check, default
+
+
+def need_choices(choices: Any, default: Any = REQUIRED):
+    """An array whose items are each one of ``choices``."""
+
+    def check(value: Any) -> str | None:
+        if not isinstance(value, list):
+            return "must be an array"
+        for item in value:
+            if not isinstance(item, str) or item not in choices:
+                return f"holds {item!r}, not one of {sorted(choices)}"
+        return None
+
+    return check, default
+
+
+_TYPE_NAMES = {
+    bool: "a boolean", float: "a number", str: "a string", list: "an array", dict: "an object"
+}
+
+
+def need_type(kind: type, default: Any = REQUIRED):
+    """Any JSON value of one type: ``float`` takes integers too, ``str`` takes ""."""
+    kinds = (int, float) if kind is float else kind
+
+    def check(value: Any) -> str | None:
+        if isinstance(value, kinds) and (kind is bool or not isinstance(value, bool)):
+            return None
+        return f"must be {_TYPE_NAMES[kind]}"
+
+    return check, default
+
+
+def fields_problem(obj: Any, fields: Fields) -> str | None:
+    """What is wrong with ``obj`` against a field table, or None."""
+    if not isinstance(obj, dict):
+        return "expected an object"
+    known = 0
+    for name, (check, default) in fields.items():
+        if name in obj:
+            known += 1
+            problem = check(obj[name])
+            if problem is not None:
+                return f"field {name!r} {problem}"
+        elif default is REQUIRED:
+            return f"missing field {name!r}"
+    if known < len(obj):
+        return f"unknown field {next(name for name in obj if name not in fields)!r}"
+    return None
+
+
+def check_fields(obj: Any, fields: Fields, where: str | int, error: type[InputError]) -> None:
+    """Raise ``error`` at ``where``, a line number or a path, if ``obj`` breaks ``fields``."""
+    problem = fields_problem(obj, fields)
+    if problem is not None:
+        raise error(f"{f'line {where}' if isinstance(where, int) else where}: {problem}")
 
 
 class Group(str, Enum):

@@ -253,3 +253,19 @@ def test_undecodable_input_is_code_1(tmp_path, capsys, argv, line, payload):
     path.write_bytes(payload)
     assert main(argv + [str(path)]) == 1
     _assert_input_error(capsys, path, line)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        '{"t":0,"seq":1,"kind":"sorted_list_snapshot","entries":5}',
+        '{"t":0,"seq":1,"kind":"sorted_list_snapshot","entries":["x"]}',
+        '{"t":0,"seq":1,"kind":"ring","caller":["x"]}',
+    ],
+    ids=["entries_not_array", "entry_not_object", "caller_not_string"],
+)
+def test_report_rejects_ill_typed_payload(tmp_path, capsys, line):
+    log = tmp_path / "log.jsonl"
+    log.write_text(line + "\n", encoding="utf-8")
+    assert main(["report", "--log", str(log)]) == 1
+    _assert_input_error(capsys, log, line=1)

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import copy
 import io
 import json
 
 import pytest
 
-from alertagent.config import load_config
+from alertagent.config import config_from_dict, load_config
 from alertagent.errors import ConfigError
 from alertagent.model import AgentConfig, BatteryAction
 
@@ -61,3 +62,18 @@ def test_parse_error_names_location():
     with pytest.raises(ConfigError) as err:
         load_config(io.StringIO("{\n  nope\n}"))
     assert "line 2" in str(err.value)
+
+
+def test_config_from_dict_leaves_its_document_unchanged():
+    doc = {
+        "precall_prob_threshold": 1,
+        "battery_actions": [
+            {"kind": "inform_caller"},
+            {"kind": "email_status", "destination": "a@b"},
+        ],
+    }
+    before = copy.deepcopy(doc)
+    config = config_from_dict(doc)
+    assert doc == before
+    assert isinstance(config.precall_prob_threshold, float)
+    assert config.battery_actions[0].destination == ""

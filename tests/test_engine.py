@@ -5,14 +5,15 @@ import io
 import pytest
 
 from alertagent.engine import (
+    _ALERT_FIELDS,
     alert_to_json,
     parse_scenario,
     read_alert_log,
     run_scenario,
 )
-from alertagent.errors import ScenarioError
-from alertagent.kb import kb_to_text
-from alertagent.model import AgentConfig, BatteryAction, BatteryActionSpec
+from alertagent.errors import AlertLogError, ScenarioError
+from alertagent.kb import SafetyRecord, kb_to_text
+from alertagent.model import ALERT_KINDS, AgentConfig, BatteryAction, BatteryActionSpec
 from alertagent.sorter import MissedItemRecord, sort_notifications
 
 from helpers import contact_doc, kb_doc, kinds_of, load_kb_doc, log_text, make_scenario
@@ -105,13 +106,17 @@ def test_empty_scenario_changes_nothing():
 
 
 def test_input_kb_is_not_mutated():
-    kb = load_kb_doc(kb_doc())
+    kb = load_kb_doc(kb_doc(safety={"c2": {"total": 4, "unsafe": 1}}))
     lines = [
         {"t": 0, "type": "call_start", "caller": "c1"},
         {"t": 420_000, "type": "call_end"},
+        {"t": 500_000, "type": "call_start", "caller": "c2"},
+        {"t": 920_000, "type": "call_end"},
     ]
-    run_scenario(make_scenario(lines), AgentConfig(), kb)
-    assert kb.safety_records == {}
+    _, final_kb = run_scenario(make_scenario(lines), AgentConfig(), kb)
+    assert final_kb.safety_records["c2"] == SafetyRecord(total_calls=5, unsafe_calls=2)
+    # The caller with a record already in the input keeps its old counts.
+    assert kb.safety_records == {"c2": SafetyRecord(total_calls=4, unsafe_calls=1)}
 
 
 def test_seven_minute_call_frozen_log():
@@ -534,3 +539,32 @@ def test_alert_log_round_trip():
         (a.t, a.seq, a.kind) for a in log.entries
     ]
     assert parsed[-1].payload["entries"] == log.entries[-1].payload["entries"]
+
+
+def test_alert_table_covers_every_alert_kind():
+    assert set(_ALERT_FIELDS) == set(ALERT_KINDS)
+
+
+@pytest.mark.parametrize(
+    "line, fragment",
+    [
+        ('{"t":0,"seq":1,"kind":"ring","caller":"c","extra":1}', "unknown field 'extra'"),
+        (
+            '{"t":0,"seq":1,"kind":"suppress_note","caller":"c","count":1}',
+            "missing field 'ring_at'",
+        ),
+        ('{"t":0,"seq":true,"kind":"ring","caller":"c"}', "field 'seq' must be an integer"),
+        ('{"t":0,"seq":1,"kind":"battery_action","action":"shout"}', "field 'action'"),
+        ('{"t":0,"seq":1,"kind":"forward_to_device","device_id":"d","alert":[]}', "field 'alert'"),
+        (
+            '{"t":0,"seq":1,"kind":"sorted_list_snapshot",'
+            '"entries":[{"caller":"c","kind":"call"}]}',
+            "field 'entries' item 0: missing field 'score'",
+        ),
+    ],
+)
+def test_read_alert_log_checks_each_kinds_payload(line, fragment):
+    with pytest.raises(AlertLogError) as err:
+        read_alert_log(io.StringIO(line))
+    assert str(err.value).startswith("line 1: ")
+    assert fragment in str(err.value)

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import copy
 import io
 import random
 
 import pytest
 
 from alertagent.errors import KnowledgeBaseError
-from alertagent.kb import KnowledgeBase, SafetyRecord, kb_to_text, load_kb, save_kb
+from alertagent.kb import KnowledgeBase, SafetyRecord, kb_from_dict, kb_to_text, load_kb, save_kb
 from alertagent.model import Group
 
 from helpers import contact_doc, kb_doc, load_kb_doc
@@ -152,3 +153,16 @@ def test_save_to_path(tmp_path):
     path = tmp_path / "kb.json"
     save_kb(kb, path)
     assert load_kb(path) == kb
+
+
+def test_kb_from_dict_leaves_its_document_unchanged():
+    doc = kb_doc(
+        contacts=[contact_doc("a", "A", temp_important=True)],
+        safety={"a": {"total": 2, "unsafe": 1}},
+        devices=[{"device_id": "tv", "contexts": ["Home"], "kinds": ["ring"]}],
+        signals={"wifi_network:home-net": "Home"},
+    )
+    before = copy.deepcopy(doc)
+    kb = kb_from_dict(doc)
+    assert doc == before
+    assert kb.contacts["a"].temp_important and kb.safety_records["a"].unsafe_calls == 1

@@ -1,7 +1,7 @@
 """Metamorphic relations (Chen et al., "Metamorphic testing", HKUST-CS98-01).
 
-Each test changes an input in a way that must not change the output, and
-compares the two runs byte for byte. The inputs are the worked example in
+Each test changes an input in a way that must change the output in a known
+way, or not at all, and compares the two runs byte for byte. The inputs are the worked example in
 ``sample/`` and the benchmark generator's three workloads at seed 1.
 """
 
@@ -10,13 +10,14 @@ from __future__ import annotations
 import io
 import json
 from pathlib import Path
+from typing import Any
 
 import pytest
 
 from alertagent.config import load_config
 from alertagent.context import SENSOR_SIGNAL_KINDS, signal_key
 from alertagent.engine import AlertLog, parse_scenario, read_alert_log, run_scenario
-from alertagent.kb import load_kb
+from alertagent.kb import kb_from_dict, kb_to_text, load_kb
 
 from helpers import ROOT, load_bench_gen, log_text
 
@@ -71,3 +72,48 @@ def test_unregistered_sensor_events_leave_the_log_unchanged(inputs):
     original = _log(inputs, "\n".join(lines) + "\n")
     assert original
     _assert_same_log(_log(inputs, "\n".join(noisy) + "\n"), original)
+
+
+PREFIX = "renamed/"  # a fixed prefix keeps the order of ids, on which sorter ties break
+
+
+def _rename(value: Any) -> Any:
+    """``value`` with every caller and callee id under PREFIX, at any depth."""
+    if isinstance(value, list):
+        return [_rename(item) for item in value]
+    if not isinstance(value, dict):
+        return value
+    return {key: PREFIX + item if key in ("caller", "callee") else _rename(item)
+            for key, item in value.items()}
+
+
+def _rename_lines(text: str) -> str:
+    lines = (json.dumps(_rename(json.loads(line)), separators=(",", ":"))
+             for line in text.splitlines())
+    return "".join(line + "\n" for line in lines)
+
+
+def _rename_kb(doc: dict[str, Any]) -> dict[str, Any]:
+    """A KB document with every contact id and safety-record key under PREFIX."""
+    return doc | {
+        "contacts": [contact | {"id": PREFIX + contact["id"]} for contact in doc["contacts"]],
+        "safety_records": {PREFIX + key: record for key, record in doc["safety_records"].items()},
+    }
+
+
+def test_renaming_callers_renames_the_log_and_kb_out_and_nothing_else(inputs):
+    scenario_text = (inputs / "scenario.jsonl").read_text(encoding="utf-8")
+    kb_doc = json.loads((inputs / "kb.json").read_text(encoding="utf-8"))
+    config = load_config(inputs / "config.json")
+    log, kb_out = run_scenario(
+        parse_scenario(io.StringIO(scenario_text)), config, kb_from_dict(kb_doc)
+    )
+    renamed_log, renamed_kb_out = run_scenario(
+        parse_scenario(io.StringIO(_rename_lines(scenario_text))),
+        config,
+        kb_from_dict(_rename_kb(kb_doc)),
+    )
+    assert log.entries
+    _assert_same_log(log_text(renamed_log), _rename_lines(log_text(log)))
+    expected = _rename_kb(json.loads(kb_to_text(kb_out)))
+    assert kb_to_text(renamed_kb_out) == json.dumps(expected, sort_keys=True, indent=2) + "\n"

@@ -4,14 +4,21 @@ import math
 
 import pytest
 
-from alertagent.errors import ConfigError
+from alertagent.errors import ConfigError, InputError
 from alertagent.model import (
+    ABSENT,
     AgentConfig,
     Alert,
     BatteryAction,
     BatteryActionSpec,
     Group,
+    check_fields,
+    fields_problem,
     group_weight,
+    need_choices,
+    need_int,
+    need_str,
+    need_type,
 )
 
 
@@ -72,3 +79,43 @@ def test_config_requires_destination_for_outbound_actions():
     AgentConfig(
         battery_actions=(BatteryActionSpec(kind=BatteryAction.INFORM_CALLER),)
     ).validate()
+
+
+_OK = {"name": "n", "kind": "a", "count": 1}
+_TABLE = {
+    "name": need_str(),
+    "kind": need_str(("a", "b")),
+    "count": need_int(0, 9),
+    "score": need_type(float, default=ABSENT),
+    "on": need_type(bool, default=False),
+    "tags": need_choices(("x", "y"), default=ABSENT),
+}
+
+
+@pytest.mark.parametrize(
+    "obj, where, message",
+    [
+        ([], "root", "root: expected an object"),
+        (_OK | {"bogus": 1}, "root", "root: unknown field 'bogus'"),
+        ({"name": "n", "kind": "a"}, 7, "line 7: missing field 'count'"),
+        (_OK | {"name": ""}, "x", "x: field 'name' must be a non-empty string"),
+        (_OK | {"kind": "c"}, "x", "x: field 'kind' must be one of ['a', 'b']"),
+        (_OK | {"count": True}, "x", "x: field 'count' must be an integer"),
+        (_OK | {"count": 10}, "x", "x: field 'count' out of range"),
+        (_OK | {"score": "1"}, "x", "x: field 'score' must be a number"),
+        (_OK | {"score": False}, "x", "x: field 'score' must be a number"),
+        (_OK | {"on": 1}, "x", "x: field 'on' must be a boolean"),
+        (_OK | {"tags": ["x", ["y"]]}, "x", "x: field 'tags' holds ['y'], not one of ['x', 'y']"),
+    ],
+)
+def test_check_fields_names_the_first_problem(obj, where, message):
+    with pytest.raises(InputError) as err:
+        check_fields(obj, _TABLE, where, InputError)
+    assert str(err.value) == message
+
+
+def test_check_fields_accepts_and_never_fills_in_optional_fields():
+    obj = {"name": "n", "kind": "b", "count": 0, "score": 2}
+    check_fields(obj, _TABLE, "x", InputError)
+    assert obj == {"name": "n", "kind": "b", "count": 0, "score": 2}
+    assert fields_problem(obj, _TABLE) is None
