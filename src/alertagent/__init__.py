@@ -36,7 +36,6 @@ from .model import (
     Group,
     group_weight,
 )
-from .sorter import MissedItemRecord, priority_score, sort_notifications
 from .sleep import alert_ordinal
 
 __version__ = "0.1.0"
@@ -59,7 +58,6 @@ __all__ = [
     "InputError",
     "KnowledgeBase",
     "KnowledgeBaseError",
-    "MissedItemRecord",
     "SafetyRecord",
     "Scenario",
     "ScenarioError",
@@ -68,11 +66,9 @@ __all__ = [
     "load_config",
     "load_kb",
     "parse_scenario",
-    "priority_score",
     "read_alert_log",
     "run_scenario",
     "save_kb",
-    "sort_notifications",
     "write_alert_log",
     "__version__",
 ]

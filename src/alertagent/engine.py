@@ -13,7 +13,6 @@ whitespace variance, so identical runs produce identical bytes.
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from dataclasses import dataclass, field
@@ -201,8 +200,9 @@ class Engine:
 
     Internal deadlines come from three sources, merged by (t, subsystem): the
     active call's next exposure crossing, read live from the call monitor;
-    the tracker's delivery timeouts, a heap of (due, seq of the accepting
-    user_response, prompt id); and the attendance ledger's FIFO of deadlines.
+    the tracker's delivery timeouts; and the attendance ledger's deadlines.
+    Each source owns the rule for its deadlines and breaks same-instant ties
+    by creation order.
     """
 
     def __init__(self, config: AgentConfig, kb: KnowledgeBase):
@@ -215,14 +215,13 @@ class Engine:
         self.battery = BatteryGuard(config)
         self.sleep = SleepGate()
         self.monitor = CallMonitor(config.safe_call_limit_ms)
-        self.tracker = CallerTracker()
+        self.tracker = CallerTracker(config.tracker_timeout_ms)
         self.tally = MissedItemTally()
-        self.ledger = AttendanceLedger()
+        self.ledger = AttendanceLedger(config.attend_window_ms)
 
         self.clock = 0
         self.entries: list[Alert] = []
         self.diagnostics: list[str] = []
-        self._timeouts: list[tuple[int, int, str]] = []
         self._handlers = {kind: getattr(self, f"_on_{kind}") for kind in _EVENT_FIELDS}
 
     # -- plumbing -----------------------------------------------------------
@@ -234,7 +233,7 @@ class Engine:
         alert = Alert(t=self.clock, seq=len(self.entries) + 1, kind=kind, payload=payload)
         self.entries.append(alert)
         if kind in USER_FACING_ALERT_KINDS:
-            self.ledger.track(alert, self.clock + self.config.attend_window_ms)
+            self.ledger.track(alert)
 
     def _emit_snapshot(self) -> None:
         entries = self.tally.snapshot(self.kb, self.clock, self.config.sorter_t_floor_min)
@@ -257,14 +256,15 @@ class Engine:
 
     def _fire_deadlines(self, before: float, events: list[Event], index: int) -> None:
         """Fire every deadline earlier than ``before``; events[index:] are still to come."""
-        monitor, ledger, timeouts = self.monitor, self.ledger, self._timeouts
+        monitor, tracker, ledger = self.monitor, self.tracker, self.ledger
         while True:
             t = before
             crossing = monitor.next_warning_at()
             if crossing is not None and crossing < t:
                 t = crossing
-            if timeouts and timeouts[0][0] < t:
-                t = timeouts[0][0]
+            timeout = tracker.next_deadline()
+            if timeout is not None and timeout < t:
+                t = timeout
             attendance = ledger.next_deadline()
             if attendance is not None and attendance < t:
                 t = attendance
@@ -274,7 +274,7 @@ class Engine:
             # Same-instant ties go by subsystem: radiation, tracker, forwarder.
             if t == crossing:
                 self._fire_crossing(events, index)
-            elif timeouts and t == timeouts[0][0]:
+            elif t == timeout:
                 self._fire_tracker_timeout()
             else:
                 self._fire_attendance()
@@ -296,10 +296,7 @@ class Engine:
         )
 
     def _fire_tracker_timeout(self) -> None:
-        _due, _seq, prompt_id = heapq.heappop(self._timeouts)
-        task = self.tracker.expire(
-            prompt_id, now=self.clock, timeout_ms=self.config.tracker_timeout_ms
-        )
+        task = self.tracker.expire()
         if task is not None:
             self._emit_tracker("tracker_expired", task)
 
@@ -396,8 +393,6 @@ class Engine:
         if outcome == "accepted":
             assert task is not None
             self._emit_tracker("tracker_message", task)
-            due = max(ev.t, task.created_ms + self.config.tracker_timeout_ms + 1)
-            heapq.heappush(self._timeouts, (due, ev.seq, task.prompt_id))
         elif outcome == "ignored":
             self._note(f"user_response for unknown or settled prompt {ev.data['prompt_id']!r}")
 

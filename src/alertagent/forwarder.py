@@ -33,18 +33,19 @@ def matching_devices(
 class AttendanceLedger:
     """Pending user-facing alerts keyed by alert seq, and a queue of their deadlines.
 
-    Deadlines must be tracked in nondecreasing order, as they are when each is
-    the alert's time plus a constant window on a clock that never goes back;
-    the queue is then ordered by (deadline, seq) without sorting.
+    An alert is due for forwarding ``window_ms`` after it was raised. Alerts
+    must be tracked in (t, seq) order, as the engine raises them; the queue
+    is then ordered by (deadline, seq) without sorting.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, window_ms: int) -> None:
+        self.window_ms = window_ms
         self._pending: dict[int, Alert] = {}
         self._deadlines: deque[tuple[int, int]] = deque()
 
-    def track(self, alert: Alert, deadline_ms: int) -> None:
+    def track(self, alert: Alert) -> None:
         self._pending[alert.seq] = alert
-        self._deadlines.append((deadline_ms, alert.seq))
+        self._deadlines.append((alert.t + self.window_ms, alert.seq))
 
     def attend(self, alert_seq: int) -> bool:
         """Remove a pending entry. True if the alert was still pending."""

@@ -42,7 +42,6 @@ def is_unsafe_call(main_timer_ms: int, safe_limit_ms: int) -> bool:
 class CallSession:
     caller_id: str
     start_ms: int
-    in_safety_mode: bool
     # Start of the current exposure stretch; None exactly while in safety mode.
     exposure_start_ms: int | None
     warnings_in_epoch: int = 0
@@ -59,16 +58,14 @@ class CallMonitor:
         self.session = CallSession(
             caller_id=caller_id,
             start_ms=t,
-            in_safety_mode=safety,
             exposure_start_ms=None if safety else t,
         )
 
     def on_safety(self, t: int, entering: bool) -> None:
         """Apply a safety-mode transition; repeating the current state is a no-op."""
         session = self.session
-        if session is None or entering == session.in_safety_mode:
+        if session is None or entering == (session.exposure_start_ms is None):
             return
-        session.in_safety_mode = entering
         session.exposure_start_ms = None if entering else t
         session.warnings_in_epoch = 0
 

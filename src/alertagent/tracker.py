@@ -8,6 +8,7 @@ be open (non-terminal) per callee at a time.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from enum import Enum
 
@@ -19,10 +20,6 @@ class TrackerState(str, Enum):
     DECLINED = "declined"
     EXPIRED = "expired"
 
-
-TERMINAL_STATES = frozenset(
-    {TrackerState.DONE, TrackerState.DECLINED, TrackerState.EXPIRED}
-)
 
 FAILURE_REASONS = ("switched_off", "unreachable", "dropped")
 
@@ -38,35 +35,37 @@ class TrackerTask:
 
 
 class CallerTracker:
-    """Owns all tracking tasks for one run and mints their ids."""
+    """Owns all tracking tasks for one run, mints their ids and times out delivery waits.
 
-    def __init__(self) -> None:
-        self.tasks: list[TrackerTask] = []
-        self._by_prompt: dict[str, TrackerTask] = {}
+    A delivery wait expires once it runs strictly past ``timeout_ms`` counted
+    from the failed call, or at once if consent came later than that.
+    """
+
+    def __init__(self, timeout_ms: int) -> None:
+        self.timeout_ms = timeout_ms
+        self.tasks: dict[str, TrackerTask] = {}  # every task opened, by prompt id
+        self._open: dict[str, TrackerTask] = {}  # callee -> its non-terminal task
         self._by_msg: dict[str, TrackerTask] = {}
-        self._prompt_count = 0
-        self._msg_count = 0
+        # (due, acceptance number, task); the number breaks ties in acceptance order.
+        self._expiries: list[tuple[int, int, TrackerTask]] = []
 
-    def active_task(self, callee_id: str) -> TrackerTask | None:
-        for task in self.tasks:
-            if task.callee_id == callee_id and task.state not in TERMINAL_STATES:
-                return task
-        return None
+    def _settle(self, task: TrackerTask, state: TrackerState) -> None:
+        task.state = state
+        del self._open[task.callee_id]
 
     def on_call_failed(self, t: int, callee_id: str, reason: str) -> TrackerTask | None:
         """Open a consent prompt for the callee; None while one is already open."""
-        if self.active_task(callee_id) is not None:
+        if callee_id in self._open:
             return None
-        self._prompt_count += 1
         task = TrackerTask(
             callee_id=callee_id,
             state=TrackerState.AWAITING_CONSENT,
-            prompt_id=f"p{self._prompt_count}",
+            prompt_id=f"p{len(self.tasks) + 1}",
             created_ms=t,
             reason=reason,
         )
-        self.tasks.append(task)
-        self._by_prompt[task.prompt_id] = task
+        self.tasks[task.prompt_id] = task
+        self._open[callee_id] = task
         return task
 
     def on_user_response(
@@ -74,19 +73,22 @@ class CallerTracker:
     ) -> tuple[str, TrackerTask | None]:
         """Apply a yes/no answer to a prompt.
 
-        Outcomes: "accepted" (tracking message created), "declined", or
-        "ignored" for unknown prompts and prompts no longer awaiting consent.
+        Outcomes: "accepted" (tracking message created, delivery timeout
+        scheduled), "declined", or "ignored" for unknown prompts and prompts
+        no longer awaiting consent.
         """
-        task = self._by_prompt.get(prompt_id)
+        task = self.tasks.get(prompt_id)
         if task is None or task.state is not TrackerState.AWAITING_CONSENT:
             return "ignored", task
         if answer == "yes":
-            self._msg_count += 1
-            task.tracking_msg_id = f"m{self._msg_count}"
+            accepted = len(self._by_msg) + 1
+            task.tracking_msg_id = f"m{accepted}"
             task.state = TrackerState.AWAITING_DELIVERY
             self._by_msg[task.tracking_msg_id] = task
+            due = max(t, task.created_ms + self.timeout_ms + 1)
+            heapq.heappush(self._expiries, (due, accepted, task))
             return "accepted", task
-        task.state = TrackerState.DECLINED
+        self._settle(task, TrackerState.DECLINED)
         return "declined", task
 
     def on_delivery_report(
@@ -104,17 +106,17 @@ class CallerTracker:
             return "stale", task
         if not positive:
             return "negative", task
-        task.state = TrackerState.DONE
+        self._settle(task, TrackerState.DONE)
         return "done", task
 
-    def expire(self, prompt_id: str, now: int, timeout_ms: int) -> TrackerTask | None:
-        """Expire a delivery wait that has outlived the timeout; else None."""
-        task = self._by_prompt.get(prompt_id)
-        if (
-            task is not None
-            and task.state is TrackerState.AWAITING_DELIVERY
-            and now - task.created_ms > timeout_ms
-        ):
-            task.state = TrackerState.EXPIRED
-            return task
-        return None
+    def next_deadline(self) -> int | None:
+        """Earliest delivery timeout not yet popped, whether or not its task settled."""
+        return self._expiries[0][0] if self._expiries else None
+
+    def expire(self) -> TrackerTask | None:
+        """Pop the earliest delivery timeout; its task, now expired, or None if it settled first."""
+        _due, _accepted, task = heapq.heappop(self._expiries)
+        if task.state is not TrackerState.AWAITING_DELIVERY:
+            return None
+        self._settle(task, TrackerState.EXPIRED)
+        return task

@@ -7,10 +7,12 @@ import io
 import json
 from pathlib import Path
 from types import ModuleType
-from typing import Any
+from typing import Any, Iterable, NamedTuple
 
 from alertagent.engine import AlertLog, Scenario, parse_scenario, write_alert_log
 from alertagent.kb import KnowledgeBase, load_kb
+from alertagent.model import Contact, Group
+from alertagent.sorter import MissedItemTally
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -59,3 +61,32 @@ def log_text(log: AlertLog) -> str:
 
 def kinds_of(log: AlertLog) -> list[str]:
     return [alert.kind for alert in log.entries]
+
+
+class Record(NamedTuple):
+    """One caller's unacknowledged items of one kind, as the sorter oracles read them."""
+
+    caller_id: str
+    kind: str
+    n: int
+    latest_time_ms: int
+
+
+def tally_of(records: Iterable[Record]) -> MissedItemTally:
+    """A tally holding exactly these records, built through ``add``."""
+    tally = MissedItemTally()
+    for record in records:
+        for _ in range(record.n):
+            tally.add(record.caller_id, record.kind, record.latest_time_ms)
+    return tally
+
+
+def kb_with(groups: dict[str, Group]) -> KnowledgeBase:
+    return KnowledgeBase(contacts={cid: Contact(cid, cid, group) for cid, group in groups.items()})
+
+
+def snapshot_score(record: Record, group: Group, now_ms: int, floor: float) -> float:
+    """The score a snapshot gives one record whose caller is in ``group``."""
+    kb = kb_with({record.caller_id: group})
+    [(_caller, _kind, score)] = tally_of([record]).snapshot(kb, now_ms, floor)
+    return score

@@ -17,10 +17,19 @@ from alertagent.forwarder import matching_devices
 from alertagent.kb import KnowledgeBase, SafetyRecord, kb_to_text, load_kb
 from alertagent.model import AgentConfig, Contact, Group, group_weight
 from alertagent.sleep import alert_ordinal
-from alertagent.sorter import MissedItemRecord, priority_score, sort_notifications
-from alertagent.tracker import TERMINAL_STATES, CallerTracker
+from alertagent.tracker import CallerTracker
 
-from helpers import contact_doc, kb_doc, kinds_of, load_kb_doc, log_text, make_scenario
+from helpers import (
+    Record,
+    contact_doc,
+    kb_doc,
+    kinds_of,
+    load_kb_doc,
+    log_text,
+    make_scenario,
+    snapshot_score,
+    tally_of,
+)
 from test_radiation import oracle_warn_times, simulate
 
 
@@ -105,7 +114,7 @@ def test_criterion_2_sorter_matches_brute_force_oracle():
         for _ in range(1000):
             chosen = rng.sample(pairs, rng.randrange(0, 101))
             records = [
-                MissedItemRecord(
+                Record(
                     caller_id=cid,
                     kind=kind,
                     n=rng.randrange(1, 21),
@@ -113,7 +122,7 @@ def test_criterion_2_sorter_matches_brute_force_oracle():
                 )
                 for cid, kind in chosen
             ]
-            assert sort_notifications(records, kb, now) == _oracle_sorted(
+            assert tally_of(records).snapshot(kb, now, 1.0) == _oracle_sorted(
                 records, groups, now, 1.0
             )
 
@@ -132,19 +141,19 @@ def test_criterion_3_score_monotonicity():
             n = rng.randrange(1, 21)
             elapsed = rng.randrange(0, week_ms + 1)
             now = week_ms
-            rec = MissedItemRecord("x", "call", n, now - elapsed)
-            base = priority_score(rec, group, now)
+            rec = Record("x", "call", n, now - elapsed)
+            base = snapshot_score(rec, group, now, 1.0)
 
-            bigger_n = MissedItemRecord("x", "call", n + 1, now - elapsed)
-            assert priority_score(bigger_n, group, now) > base
+            bigger_n = Record("x", "call", n + 1, now - elapsed)
+            assert snapshot_score(bigger_n, group, now, 1.0) > base
 
             for low, high in ups:
                 if group is low:
-                    assert priority_score(rec, high, now) > base
+                    assert snapshot_score(rec, high, now, 1.0) > base
 
             delta = rng.randrange(1, week_ms + 1)
-            shifted = MissedItemRecord("x", "call", n, now - (elapsed + delta))
-            later_score = priority_score(shifted, group, now)
+            shifted = Record("x", "call", n, now - (elapsed + delta))
+            later_score = snapshot_score(shifted, group, now, 1.0)
             assert later_score <= base
             if elapsed + delta > floor_ms:
                 assert later_score < base
@@ -241,14 +250,22 @@ ALPHABET = ("failed", "yes", "no", "pos", "neg", "timeout")
 
 
 def run_tracker_path(path) -> int:
-    """Drive the tracker; responses and reports target the first episode's ids."""
-    tracker = CallerTracker()
+    """Drive the tracker; responses and reports target the first episode's ids.
+
+    As in the engine, every delivery timeout due by a step's time fires
+    before the step, and the rest fire after the last one.
+    """
+    tracker = CallerTracker(TIMEOUT_MS)
     t = 0
     notifies = 0
     first_prompt: str | None = None
     first_msg: str | None = None
-    for step in path:
+    for step in path + ("end",):
         t += 1000
+        if step in ("timeout", "end"):  # a day of silence passes
+            t += TIMEOUT_MS
+        while (due := tracker.next_deadline()) is not None and due <= t:
+            tracker.expire()
         if step == "failed":
             task = tracker.on_call_failed(t, "x", "unreachable")
             if task is not None and first_prompt is None:
@@ -256,24 +273,13 @@ def run_tracker_path(path) -> int:
         elif step in ("yes", "no"):
             answer = "yes" if step == "yes" else "no"
             outcome, task = tracker.on_user_response(t, first_prompt or "p?", answer)
-            if outcome == "accepted":
-                if first_msg is None:
-                    first_msg = task.tracking_msg_id
-                # Mirror the engine: the expiry deadline is max(now, created
-                # + timeout + 1), so consent after the window expires at once.
-                if t - task.created_ms > TIMEOUT_MS:
-                    tracker.expire(task.prompt_id, t, TIMEOUT_MS)
+            if outcome == "accepted" and first_msg is None:
+                first_msg = task.tracking_msg_id
         elif step in ("pos", "neg"):
             outcome, _ = tracker.on_delivery_report(t, first_msg or "m?", step == "pos")
             if outcome == "done":
                 notifies += 1
-        else:  # a day of silence passes
-            open_task = next(
-                (x for x in tracker.tasks if x.state not in TERMINAL_STATES), None
-            )
-            if open_task is not None:
-                t = max(t, open_task.created_ms + TIMEOUT_MS + 1)
-                tracker.expire(open_task.prompt_id, t, TIMEOUT_MS)
+    assert tracker.next_deadline() is None
     return notifies
 
 

@@ -14,7 +14,7 @@ from alertagent.engine import (
 from alertagent.errors import AlertLogError, ScenarioError
 from alertagent.kb import SafetyRecord, kb_to_text
 from alertagent.model import ALERT_KINDS, AgentConfig, BatteryAction, BatteryActionSpec
-from alertagent.sorter import MissedItemRecord, sort_notifications
+from alertagent.sorter import MissedItemTally
 
 from helpers import contact_doc, kb_doc, kinds_of, load_kb_doc, log_text, make_scenario
 
@@ -225,14 +225,13 @@ def test_battery_burst_snapshot_matches_sorter_state():
     snapshot = next(a for a in log.entries if a.kind == "sorted_list_snapshot")
     assert snapshot.t == 60_000
 
-    records = [
-        MissedItemRecord("b1", "call", 1, 0),
-        MissedItemRecord("a1", "message", 1, 2000),
-    ]
+    tally = MissedItemTally()
+    tally.add("b1", "call", 0)
+    tally.add("a1", "message", 2000)
     kb = load_kb_doc(doc)
     expected = [
         {"caller": caller, "kind": kind, "score": score}
-        for caller, kind, score in sort_notifications(records, kb, 60_000)
+        for caller, kind, score in tally.snapshot(kb, 60_000, config.sorter_t_floor_min)
     ]
     assert snapshot.payload["entries"] == expected
 

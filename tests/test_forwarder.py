@@ -33,16 +33,16 @@ def test_forwarding_is_inert_in_unknown_context():
 
 
 def test_ledger_tracks_with_deadline():
-    ledger = AttendanceLedger()
+    ledger = AttendanceLedger(window_ms=60_000)
     assert ledger.next_deadline() is None
     alert = Alert(t=1000, seq=1, kind="ring", payload={"caller": "c1"})
-    ledger.track(alert, deadline_ms=61_000)
+    ledger.track(alert)
     assert ledger.next_deadline() == 61_000
 
 
 def test_attend_removes_entry_once():
-    ledger = AttendanceLedger()
-    ledger.track(Alert(t=0, seq=1, kind="ring", payload={}), deadline_ms=60_000)
+    ledger = AttendanceLedger(window_ms=60_000)
+    ledger.track(Alert(t=0, seq=1, kind="ring", payload={}))
     assert ledger.attend(1) is True
     assert ledger.attend(1) is False
     # The deadline stays queued; popping it yields nothing to forward.
@@ -52,19 +52,19 @@ def test_attend_removes_entry_once():
 
 
 def test_pop_due_takes_the_alert_out():
-    ledger = AttendanceLedger()
+    ledger = AttendanceLedger(window_ms=60_000)
     alert = Alert(t=0, seq=7, kind="beep", payload={})
-    ledger.track(alert, deadline_ms=60_000)
+    ledger.track(alert)
     assert ledger.pop_due() is alert
     assert ledger.next_deadline() is None
     assert ledger.attend(7) is False
 
 
 def test_entries_are_independent():
-    ledger = AttendanceLedger()
-    ledger.track(Alert(t=0, seq=1, kind="ring", payload={}), deadline_ms=10)
+    ledger = AttendanceLedger(window_ms=10)
+    ledger.track(Alert(t=0, seq=1, kind="ring", payload={}))
     beep = Alert(t=5, seq=2, kind="beep", payload={})
-    ledger.track(beep, deadline_ms=15)
+    ledger.track(beep)
     assert ledger.attend(1) is True
     assert ledger.next_deadline() == 10
     assert ledger.pop_due() is None

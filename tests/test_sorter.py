@@ -3,47 +3,47 @@ from __future__ import annotations
 import random
 
 from alertagent.kb import KnowledgeBase
-from alertagent.model import Contact, Group, group_weight
-from alertagent.sorter import (
-    MissedItemRecord,
-    MissedItemTally,
-    priority_score,
-    sort_notifications,
-)
+from alertagent.model import Group, group_weight
+from alertagent.sorter import MissedItemTally
+
+from helpers import Record, kb_with, snapshot_score, tally_of
 
 MIN_MS = 60_000
+FLOOR = 1.0
 
 
 def record(caller="c1", kind="call", n=1, latest=0):
-    return MissedItemRecord(caller_id=caller, kind=kind, n=n, latest_time_ms=latest)
+    return Record(caller_id=caller, kind=kind, n=n, latest_time_ms=latest)
 
 
-def kb_with(groups: dict[str, Group]) -> KnowledgeBase:
-    return KnowledgeBase(
-        contacts={cid: Contact(cid, cid, group) for cid, group in groups.items()}
-    )
+def score(rec, group, now_ms):
+    return snapshot_score(rec, group, now_ms, FLOOR)
+
+
+def rank(records, kb, now_ms):
+    return tally_of(records).snapshot(kb, now_ms, FLOOR)
 
 
 def test_score_group_a_one_call_one_minute():
-    assert priority_score(record(n=1, latest=0), Group.A, now_ms=MIN_MS) == 4.0
+    assert score(record(n=1, latest=0), Group.A, now_ms=MIN_MS) == 4.0
 
 
 def test_score_group_b_four_calls_six_minutes():
-    assert priority_score(record(n=4, latest=0), Group.B, now_ms=6 * MIN_MS) == 2.0
+    assert score(record(n=4, latest=0), Group.B, now_ms=6 * MIN_MS) == 2.0
 
 
 def test_score_floor_clamps_fresh_items():
-    assert priority_score(record(n=3, latest=0), Group.D, now_ms=0) == 3.0
+    assert score(record(n=3, latest=0), Group.D, now_ms=0) == 3.0
 
 
 def test_sort_empty():
-    assert sort_notifications([], KnowledgeBase(), now_ms=0) == []
+    assert MissedItemTally().snapshot(KnowledgeBase(), 0, FLOOR) == []
 
 
 def test_sort_two_records_highest_first():
     kb = kb_with({"a": Group.A, "d": Group.D})
     records = [record(caller="d", n=2, latest=0), record(caller="a", n=1, latest=0)]
-    ordered = sort_notifications(records, kb, now_ms=MIN_MS)
+    ordered = rank(records, kb, now_ms=MIN_MS)
     assert [entry[0] for entry in ordered] == ["a", "d"]
     assert ordered[0][2] == 4.0
     assert ordered[1][2] == 2.0
@@ -78,7 +78,7 @@ def test_sort_matches_brute_force_oracle():
             record(caller=c, kind=k, n=rng.randrange(1, 21), latest=rng.randrange(0, now + 1))
             for c, k in chosen
         ]
-        assert sort_notifications(records, kb, now) == _oracle_sort(records, groups, now, 1.0)
+        assert rank(records, kb, now) == _oracle_sort(records, groups, now, FLOOR)
 
 
 def test_sort_output_is_permutation_of_input():
@@ -88,7 +88,7 @@ def test_sort_output_is_permutation_of_input():
         record(caller=f"c{i}", kind=rng.choice(("call", "message")), n=rng.randrange(1, 5))
         for i in range(30)
     ]
-    ordered = sort_notifications(records, kb, now_ms=10 * MIN_MS)
+    ordered = rank(records, kb, now_ms=10 * MIN_MS)
     assert sorted((c, k) for c, k, _ in ordered) == sorted(
         (r.caller_id, r.kind) for r in records
     )
@@ -96,28 +96,30 @@ def test_sort_output_is_permutation_of_input():
 
 def test_tie_breaks_weight_then_recency_then_id_then_kind():
     # Equal scores by construction: score = weight * n / floor-clamped window.
-    kb = kb_with({"a": Group.A, "b": Group.B})
+    kb = kb_with({"a": Group.A, "b": Group.B, "0a": Group.A})
     records = [
         record(caller="b", n=4, latest=1000),  # 3*4/6 = 2.0
         record(caller="a", n=3, latest=1000),  # 4*3/6 = 2.0 -> wins on weight
     ]
     now = 1000 + 6 * MIN_MS
-    assert [e[0] for e in sort_notifications(records, kb, now)] == ["a", "b"]
+    assert [e[0] for e in rank(records, kb, now)] == ["a", "b"]
 
-    fresh = [record(caller="a", n=1, latest=5_000), record(caller="a", n=1, latest=2_000)]
-    ordered = sort_notifications(fresh + [record(caller="a", kind="message", n=1, latest=5_000)], kb, now_ms=30_000)
+    # "0a" sorts before "a", so only recency puts its older call last.
+    fresh = [record(caller="a", n=1, latest=5_000), record(caller="0a", n=1, latest=2_000)]
+    message = record(caller="a", kind="message", n=1, latest=5_000)
+    ordered = rank(fresh + [message], kb, now_ms=30_000)
     # All clamp to the floor: same score, same weight; recency first, then kind.
     assert [(c, k) for c, k, _ in ordered][:2] == [("a", "call"), ("a", "message")]
-    assert ordered[2][:2] == ("a", "call")
+    assert ordered[2][:2] == ("0a", "call")
 
 
 def test_score_monotonicity_spot_checks():
-    base = priority_score(record(n=2, latest=0), Group.B, now_ms=5 * MIN_MS)
-    assert priority_score(record(n=3, latest=0), Group.B, now_ms=5 * MIN_MS) > base
-    assert priority_score(record(n=2, latest=0), Group.A, now_ms=5 * MIN_MS) > base
-    assert priority_score(record(n=2, latest=0), Group.B, now_ms=9 * MIN_MS) < base
+    base = score(record(n=2, latest=0), Group.B, now_ms=5 * MIN_MS)
+    assert score(record(n=3, latest=0), Group.B, now_ms=5 * MIN_MS) > base
+    assert score(record(n=2, latest=0), Group.A, now_ms=5 * MIN_MS) > base
+    assert score(record(n=2, latest=0), Group.B, now_ms=9 * MIN_MS) < base
     # Below the floor the window is clamped, so the score plateaus.
-    assert priority_score(record(n=2, latest=0), Group.B, now_ms=0) == priority_score(
+    assert score(record(n=2, latest=0), Group.B, now_ms=0) == score(
         record(n=2, latest=0), Group.B, now_ms=MIN_MS
     )
 
@@ -127,19 +129,24 @@ def test_tally_add_and_acknowledge():
     tally.add("c1", "call", 1000)
     tally.add("c1", "call", 5000)
     tally.add("c1", "message", 6000)
-    records = {(r.caller_id, r.kind): r for r in tally.records()}
-    assert records[("c1", "call")].n == 2
-    assert records[("c1", "call")].latest_time_ms == 5000
-    assert records[("c1", "message")].n == 1
+    kb = KnowledgeBase()  # c1 has no contact entry: Group D, weight 1
+    # Within the floor a record scores its count.
+    assert tally.snapshot(kb, 6000, FLOOR) == [("c1", "call", 2.0), ("c1", "message", 1.0)]
+    # Two minutes after the latest call, its two calls score 2 / 2.
+    scores = {(c, k): s for c, k, s in tally.snapshot(kb, 5000 + 2 * MIN_MS, FLOOR)}
+    assert scores[("c1", "call")] == 1.0
 
     assert tally.acknowledge("c1", "call") is True
     assert tally.acknowledge("c1", "call") is False
-    remaining = tally.records()
-    assert len(remaining) == 1 and remaining[0].kind == "message"
+    remaining = tally.snapshot(kb, 6000, FLOOR)
+    assert len(remaining) == 1 and remaining[0][1] == "message"
 
 
 def test_identical_inputs_sort_identically():
     kb = kb_with({"a": Group.A})
     records = [record(caller=f"c{i}", n=1 + i % 3, latest=i * 100) for i in range(25)]
     now = 50 * MIN_MS
-    assert sort_notifications(records, kb, now) == sort_notifications(list(records), kb, now)
+    tally = tally_of(records)
+    assert tally.snapshot(kb, now, FLOOR) == tally.snapshot(kb, now, FLOOR)
+    # Arrival order does not reach the ranking.
+    assert rank(records, kb, now) == rank(reversed(records), kb, now)
