@@ -99,12 +99,12 @@ def parse_scenario(source: str | Path | IO[str], name: str = "scenario") -> Scen
                 f"line {lineno}: timestamp {t} is earlier than the previous event at {prev_t}"
             )
         prev_t = t
-        data = {key: value for key, value in obj.items() if key != "t" and key != "type"}
         if len(obj) < len(fields):
             for field_name, (_check, default) in fields.items():
                 if field_name not in obj:
-                    data[field_name] = default
-        events.append(Event(t=t, seq=lineno, kind=kind, data=data))
+                    obj[field_name] = default
+        del obj["t"], obj["type"]
+        events.append(Event(t, lineno, kind, obj))
     return Scenario(name=name, events=events)
 
 
@@ -118,12 +118,18 @@ class AlertLog:
     diagnostics: list[str] = field(default_factory=list)
 
 
+# One encoder for every line: json.dumps with non-default separators builds a
+# new encoder per call.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def alert_to_json(alert: Alert) -> str:
-    return json.dumps(alert.to_record(), separators=(",", ":"))
+    return _ENCODER.encode(alert.to_record())
 
 
 def write_alert_log(log: AlertLog, sink: str | Path | IO[str]) -> None:
-    write_text(sink, "".join(alert_to_json(alert) + "\n" for alert in log.entries))
+    """Write the log one line per alert, each straight to the sink."""
+    write_text(sink, (alert_to_json(alert) + "\n" for alert in log.entries))
 
 
 _SNAPSHOT_ENTRY: Fields = {
@@ -179,8 +185,7 @@ def read_alert_log(source: str | Path | IO[str]) -> list[Alert]:
         kind = obj.get("kind")
         fields = _ALERT_FIELDS.get(kind, _BAD_KIND) if isinstance(kind, str) else _BAD_KIND
         check_fields(obj, fields, lineno, AlertLogError)
-        payload = {key: value for key, value in obj.items() if key not in ("t", "seq", "kind")}
-        alerts.append(Alert(t=obj["t"], seq=obj["seq"], kind=kind, payload=payload))
+        alerts.append(Alert(obj.pop("t"), obj.pop("seq"), obj.pop("kind"), obj))
     return alerts
 
 
@@ -230,7 +235,7 @@ class Engine:
         self.diagnostics.append(f"t={self.clock}: {message}")
 
     def _emit(self, kind: str, payload: dict[str, Any]) -> None:
-        alert = Alert(t=self.clock, seq=len(self.entries) + 1, kind=kind, payload=payload)
+        alert = Alert(self.clock, len(self.entries) + 1, kind, payload)
         self.entries.append(alert)
         if kind in USER_FACING_ALERT_KINDS:
             self.ledger.track(alert)

@@ -218,4 +218,4 @@ def load_kb(source: str | Path | IO[str]) -> KnowledgeBase:
 
 def save_kb(kb: KnowledgeBase, sink: str | Path | IO[str]) -> None:
     """Write the canonical form; identical inputs yield identical bytes."""
-    write_text(sink, kb_to_text(kb))
+    write_text(sink, [kb_to_text(kb)])

@@ -6,10 +6,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import IO, Any, Callable, Iterator
+from typing import IO, Any, Callable, Iterable, Iterator, NamedTuple
 
 from .errors import ConfigError, InputError
 
@@ -86,12 +86,13 @@ def read_json_lines(
             yield lineno, obj
 
 
-def write_text(sink: str | Path | IO[str], text: str) -> None:
-    """Write text to a file path (UTF-8) or to an open text stream."""
+def write_text(sink: str | Path | IO[str], chunks: Iterable[str]) -> None:
+    """Write text chunks, one after another, to a file path (UTF-8) or an open text stream."""
     if isinstance(sink, (str, Path)):
-        Path(sink).write_text(text, encoding="utf-8")
+        with open(sink, "w", encoding="utf-8") as out:
+            out.writelines(chunks)
     else:
-        sink.write(text)
+        sink.writelines(chunks)
 
 
 # A field table maps each field an object may hold to (check, default). A check
@@ -208,8 +209,7 @@ class Contact:
     temp_important: bool = False
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """One timestamped input to the engine.
 
     ``t`` is virtual milliseconds since the scenario epoch. ``seq`` breaks
@@ -219,7 +219,7 @@ class Event:
     t: int
     seq: int
     kind: str
-    data: dict[str, Any] = field(default_factory=dict)
+    data: dict[str, Any]
 
 
 ALERT_KINDS: tuple[str, ...] = (
@@ -250,14 +250,13 @@ USER_FACING_ALERT_KINDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class Alert:
+class Alert(NamedTuple):
     """One output decision. ``seq`` is unique and strictly increasing per run."""
 
     t: int
     seq: int
     kind: str
-    payload: dict[str, Any] = field(default_factory=dict)
+    payload: dict[str, Any]
 
     def to_record(self) -> dict[str, Any]:
         """Flat record in canonical key order: t, seq, kind, then sorted payload keys."""

@@ -6,10 +6,12 @@ import pytest
 
 from alertagent.engine import (
     _ALERT_FIELDS,
+    AlertLog,
     alert_to_json,
     parse_scenario,
     read_alert_log,
     run_scenario,
+    write_alert_log,
 )
 from alertagent.errors import AlertLogError, ScenarioError
 from alertagent.kb import SafetyRecord, kb_to_text
@@ -47,6 +49,21 @@ def test_parse_splits_lines_at_newline_only():
     scenario = parse_scenario(io.StringIO(text))
     assert scenario.events[0].data["caller"] == "a\u2028b\x85c"
     assert [ev.seq for ev in scenario.events] == [1, 2]
+
+
+def test_parse_fills_defaults_and_drops_t_and_type_from_data():
+    text = (
+        '{"t": 0, "type": "call_start", "caller": "c1"}\n'
+        '{"t": 1, "type": "call_start", "safety": true, "caller": "c2"}\n'
+        '{"t": 2, "type": "call_end"}\n'
+        '{"t": 3, "type": "battery_level", "pct": 50}\n'
+    )
+    events = parse_scenario(io.StringIO(text)).events
+    assert events[0].data == {"caller": "c1", "safety": False}
+    assert events[1].data == {"safety": True, "caller": "c2"}
+    assert events[2].data == {}
+    assert events[3].data == {"pct": 50}
+    assert all("t" not in ev.data and "type" not in ev.data for ev in events)
 
 
 def test_parse_rejects_out_of_range_pct():
@@ -538,6 +555,43 @@ def test_alert_log_round_trip():
         (a.t, a.seq, a.kind) for a in log.entries
     ]
     assert parsed[-1].payload["entries"] == log.entries[-1].payload["entries"]
+
+
+def test_write_alert_log_gives_a_path_the_same_bytes_as_a_stream(tmp_path):
+    lines = [
+        {"t": 0, "type": "call_start", "caller": "c1"},
+        {"t": 100, "type": "call_end"},
+        {"t": 150, "type": "message_received", "caller": "Zo\u00e9"},
+        {"t": 200, "type": "snapshot_request"},
+    ]
+    log, _ = run(lines)
+    path, stream = tmp_path / "log.jsonl", io.StringIO()
+    write_alert_log(log, path)
+    write_alert_log(log, stream)
+    assert stream.getvalue() == "".join(alert_to_json(alert) + "\n" for alert in log.entries)
+    assert path.read_bytes() == stream.getvalue().encode("utf-8")
+    assert len(log.entries) == 3 and path.read_bytes().isascii()
+
+
+def test_rewriting_a_read_log_sorts_top_level_keys_and_keeps_nested_ones():
+    text = (
+        '{"t":0,"seq":1,"kind":"ring","caller":"Zo\u00e9"}\n'
+        '{"kind":"suppress_note", "ring_at":2,"t":7,"count":1,"seq":2,"caller":"c3"}\n'
+        '{"t":60000,"seq":3,"kind":"forward_to_device","device_id":"d1",'
+        '"alert":{"seq":1,"t":0,"caller":"c1","kind":"ring"}}\n'
+        '{"t":60001,"seq":4,"kind":"sorted_list_snapshot",'
+        '"entries":[{"score":3,"kind":"call","caller":"c3"}]}\n'
+    )
+    out = io.StringIO()
+    write_alert_log(AlertLog(entries=read_alert_log(io.StringIO(text))), out)
+    assert out.getvalue() == (
+        '{"t":0,"seq":1,"kind":"ring","caller":"Zo\\u00e9"}\n'
+        '{"t":7,"seq":2,"kind":"suppress_note","caller":"c3","count":1,"ring_at":2}\n'
+        '{"t":60000,"seq":3,"kind":"forward_to_device",'
+        '"alert":{"seq":1,"t":0,"caller":"c1","kind":"ring"},"device_id":"d1"}\n'
+        '{"t":60001,"seq":4,"kind":"sorted_list_snapshot",'
+        '"entries":[{"score":3,"kind":"call","caller":"c3"}]}\n'
+    )
 
 
 def test_alert_table_covers_every_alert_kind():

@@ -11,6 +11,7 @@ from alertagent.model import (
     Alert,
     BatteryAction,
     BatteryActionSpec,
+    Event,
     Group,
     check_fields,
     fields_problem,
@@ -38,6 +39,11 @@ def test_group_weight_injective_and_total():
 def test_alert_record_canonical_key_order():
     alert = Alert(t=5, seq=2, kind="ring", payload={"zeta": 1, "alpha": 2})
     assert list(alert.to_record()) == ["t", "seq", "kind", "alpha", "zeta"]
+    event = Event(t=5, seq=1, kind="call_end", data={})
+    with pytest.raises(AttributeError):
+        alert.kind = "beep"
+    with pytest.raises(AttributeError):
+        event.t = 6
 
 
 def test_default_config_is_valid():
