@@ -59,7 +59,7 @@ class Scenario:
 # Every event kind, with the fields it carries besides t and type. A field that
 # may be left out has a default, which parse_scenario fills in.
 _EVENT_FIELDS: dict[str, Fields] = {
-    kind: {"t": need_int(0), "type": need_str(), **fields}
+    kind: {"t": need_int(0, 2**53 - 1), "type": need_str(), **fields}
     for kind, fields in {
         "call_start": {"caller": need_str(), "safety": need_type(bool, default=False)},
         "call_end": {},
@@ -301,17 +301,14 @@ class Engine:
         )
 
     def _fire_tracker_timeout(self) -> None:
-        task = self.tracker.expire()
-        if task is not None:
-            self._emit_tracker("tracker_expired", task)
+        self._emit_tracker("tracker_expired", self.tracker.expire())
 
     def _fire_attendance(self) -> None:
         alert = self.ledger.pop_due()
-        if alert is not None:
-            for device in matching_devices(self.kb.devices, self.ctx.current, alert.kind):
-                self._emit(
-                    "forward_to_device", {"device_id": device.device_id, "alert": alert.to_record()}
-                )
+        for device in matching_devices(self.kb.devices, self.ctx.current, alert.kind):
+            self._emit(
+                "forward_to_device", {"device_id": device.device_id, "alert": alert.to_record()}
+            )
 
     # -- per-event handlers, each calling its stages in the documented order --
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections import deque
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from .context import Context
@@ -31,31 +31,30 @@ def matching_devices(
 
 
 class AttendanceLedger:
-    """Pending user-facing alerts keyed by alert seq, and a queue of their deadlines.
+    """Pending user-facing alerts keyed by alert seq, the next one due first.
 
     An alert is due for forwarding ``window_ms`` after it was raised. Alerts
-    must be tracked in (t, seq) order, as the engine raises them; the queue
-    is then ordered by (deadline, seq) without sorting.
+    must be tracked in (t, seq) order, as the engine raises them; insertion
+    order is then deadline order, and an attended alert leaves no deadline.
     """
 
     def __init__(self, window_ms: int) -> None:
         self.window_ms = window_ms
-        self._pending: dict[int, Alert] = {}
-        self._deadlines: deque[tuple[int, int]] = deque()
+        # An OrderedDict reaches its first item in O(1); a dict popped from the
+        # front leaves holes that next(iter()) must step over.
+        self._pending: OrderedDict[int, Alert] = OrderedDict()
 
     def track(self, alert: Alert) -> None:
         self._pending[alert.seq] = alert
-        self._deadlines.append((alert.t + self.window_ms, alert.seq))
 
     def attend(self, alert_seq: int) -> bool:
         """Remove a pending entry. True if the alert was still pending."""
         return self._pending.pop(alert_seq, None) is not None
 
     def next_deadline(self) -> int | None:
-        """Earliest deadline not yet popped, whether or not its alert was attended."""
-        return self._deadlines[0][0] if self._deadlines else None
+        """Deadline of the earliest alert still pending."""
+        return next(iter(self._pending.values())).t + self.window_ms if self._pending else None
 
-    def pop_due(self) -> Alert | None:
-        """Pop the earliest deadline; its alert, or None if it was attended in time."""
-        _deadline, alert_seq = self._deadlines.popleft()
-        return self._pending.pop(alert_seq, None)
+    def pop_due(self) -> Alert:
+        """Take out the earliest pending alert, now due (see next_deadline)."""
+        return self._pending.popitem(last=False)[1]

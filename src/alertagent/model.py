@@ -75,10 +75,12 @@ def read_json_lines(
     """(1-based line number, object) for each non-blank line of a JSON-lines file.
 
     Lines end at "\\n" only (str.splitlines also splits at a raw U+2028 inside
-    a string). Each line is decoded like ``read_json`` and must hold an object.
+    a string), and only JSON's own whitespace around a line is stripped
+    (str.strip also strips U+00A0 and the like). Each line is decoded like
+    ``read_json`` and must hold an object.
     """
     for lineno, raw in enumerate(_read_text(source, error).split("\n"), start=1):
-        line = raw.strip()
+        line = raw.strip(" \t\r")
         if line:
             obj = _decode(line, error, lineno)
             if not isinstance(obj, dict):
@@ -148,13 +150,18 @@ _TYPE_NAMES = {
 
 
 def need_type(kind: type, default: Any = REQUIRED):
-    """Any JSON value of one type: ``float`` takes integers too, ``str`` takes ""."""
+    """Any JSON value of one type: ``float`` takes integers a float can hold, ``str`` takes ""."""
     kinds = (int, float) if kind is float else kind
 
     def check(value: Any) -> str | None:
-        if isinstance(value, kinds) and (kind is bool or not isinstance(value, bool)):
-            return None
-        return f"must be {_TYPE_NAMES[kind]}"
+        if not isinstance(value, kinds) or (kind is not bool and isinstance(value, bool)):
+            return f"must be {_TYPE_NAMES[kind]}"
+        if kind is float and isinstance(value, int):
+            try:
+                float(value)
+            except OverflowError:
+                return "is too large for a float"
+        return None
 
     return check, default
 

@@ -49,7 +49,7 @@ class SleepGate:
             return RING, 0
         count = self._counts.get(caller_id, 0) + 1
         if count >= ordinal:
-            self._counts[caller_id] = 0
+            self._counts.pop(caller_id, None)
             return RING, count
         self._counts[caller_id] = count
         return SUPPRESS, count

@@ -3,23 +3,13 @@
 Each failed call may open one task: the user is prompted for consent, a
 tracking message goes out on yes, and a positive delivery report means the
 callee's phone is reachable again. Tasks are per callee and at most one may
-be open (non-terminal) per callee at a time.
+be open per callee at a time. A settled task is forgotten.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from enum import Enum
-
-
-class TrackerState(str, Enum):
-    AWAITING_CONSENT = "awaiting_consent"
-    AWAITING_DELIVERY = "awaiting_delivery"
-    DONE = "done"
-    DECLINED = "declined"
-    EXPIRED = "expired"
-
 
 FAILURE_REASONS = ("switched_off", "unreachable", "dropped")
 
@@ -27,7 +17,6 @@ FAILURE_REASONS = ("switched_off", "unreachable", "dropped")
 @dataclass
 class TrackerTask:
     callee_id: str
-    state: TrackerState
     prompt_id: str
     created_ms: int
     reason: str
@@ -35,7 +24,12 @@ class TrackerTask:
 
 
 class CallerTracker:
-    """Owns all tracking tasks for one run, mints their ids and times out delivery waits.
+    """Owns the open tracking tasks of one run, mints their ids and times out delivery waits.
+
+    A task's state is the index that holds it: ``_consent`` by prompt id while
+    it awaits consent, ``_delivery`` by tracking id while it awaits delivery.
+    Ids are minted in sequence (``p<n>``, ``m<n>``), so a report for an id the
+    tracker minted but no longer waits on is told apart from an unknown one.
 
     A delivery wait expires once it runs strictly past ``timeout_ms`` counted
     from the failed call, or at once if consent came later than that.
@@ -43,29 +37,21 @@ class CallerTracker:
 
     def __init__(self, timeout_ms: int) -> None:
         self.timeout_ms = timeout_ms
-        self.tasks: dict[str, TrackerTask] = {}  # every task opened, by prompt id
-        self._open: dict[str, TrackerTask] = {}  # callee -> its non-terminal task
-        self._by_msg: dict[str, TrackerTask] = {}
-        # (due, acceptance number, task); the number breaks ties in acceptance order.
-        self._expiries: list[tuple[int, int, TrackerTask]] = []
-
-    def _settle(self, task: TrackerTask, state: TrackerState) -> None:
-        task.state = state
-        del self._open[task.callee_id]
+        self._prompts = 0  # prompt ids minted
+        self._messages = 0  # tracking message ids minted
+        self._open: dict[str, TrackerTask] = {}  # callee -> its open task
+        self._consent: dict[str, TrackerTask] = {}
+        self._delivery: dict[str, TrackerTask] = {}
+        # (due, message number, tracking id); the number breaks ties in acceptance order.
+        self._expiries: list[tuple[int, int, str]] = []
 
     def on_call_failed(self, t: int, callee_id: str, reason: str) -> TrackerTask | None:
         """Open a consent prompt for the callee; None while one is already open."""
         if callee_id in self._open:
             return None
-        task = TrackerTask(
-            callee_id=callee_id,
-            state=TrackerState.AWAITING_CONSENT,
-            prompt_id=f"p{len(self.tasks) + 1}",
-            created_ms=t,
-            reason=reason,
-        )
-        self.tasks[task.prompt_id] = task
-        self._open[callee_id] = task
+        self._prompts += 1
+        task = TrackerTask(callee_id, f"p{self._prompts}", t, reason)
+        self._consent[task.prompt_id] = self._open[callee_id] = task
         return task
 
     def on_user_response(
@@ -74,22 +60,28 @@ class CallerTracker:
         """Apply a yes/no answer to a prompt.
 
         Outcomes: "accepted" (tracking message created, delivery timeout
-        scheduled), "declined", or "ignored" for unknown prompts and prompts
-        no longer awaiting consent.
+        scheduled), "declined", or "ignored" for prompts not awaiting consent.
         """
-        task = self.tasks.get(prompt_id)
-        if task is None or task.state is not TrackerState.AWAITING_CONSENT:
-            return "ignored", task
-        if answer == "yes":
-            accepted = len(self._by_msg) + 1
-            task.tracking_msg_id = f"m{accepted}"
-            task.state = TrackerState.AWAITING_DELIVERY
-            self._by_msg[task.tracking_msg_id] = task
-            due = max(t, task.created_ms + self.timeout_ms + 1)
-            heapq.heappush(self._expiries, (due, accepted, task))
-            return "accepted", task
-        self._settle(task, TrackerState.DECLINED)
-        return "declined", task
+        task = self._consent.pop(prompt_id, None)
+        if task is None:
+            return "ignored", None
+        if answer != "yes":
+            del self._open[task.callee_id]
+            return "declined", task
+        self._messages += 1
+        task.tracking_msg_id = f"m{self._messages}"
+        self._delivery[task.tracking_msg_id] = task
+        due = max(t, task.created_ms + self.timeout_ms + 1)
+        heapq.heappush(self._expiries, (due, self._messages, task.tracking_msg_id))
+        return "accepted", task
+
+    def _minted(self, tracking_msg_id: str) -> bool:
+        """Whether the id is one this tracker handed out: "m<n>" for 1 <= n <= minted."""
+        try:
+            n = int(tracking_msg_id[1:])
+        except ValueError:  # not a number, or past the int-string digit limit
+            return False
+        return 1 <= n <= self._messages and f"m{n}" == tracking_msg_id
 
     def on_delivery_report(
         self, t: int, tracking_msg_id: str, positive: bool
@@ -97,26 +89,26 @@ class CallerTracker:
         """Apply a delivery report.
 
         Outcomes: "done" (callee reachable, notify the user), "negative"
-        (keep waiting), "stale" (task already terminal), or "unknown".
+        (keep waiting), "stale" (minted, but its task already settled), or
+        "unknown".
         """
-        task = self._by_msg.get(tracking_msg_id)
+        task = self._delivery.get(tracking_msg_id)
         if task is None:
-            return "unknown", None
-        if task.state is not TrackerState.AWAITING_DELIVERY:
-            return "stale", task
+            return ("stale" if self._minted(tracking_msg_id) else "unknown"), None
         if not positive:
             return "negative", task
-        self._settle(task, TrackerState.DONE)
+        del self._delivery[tracking_msg_id], self._open[task.callee_id]
         return "done", task
 
     def next_deadline(self) -> int | None:
-        """Earliest delivery timeout not yet popped, whether or not its task settled."""
-        return self._expiries[0][0] if self._expiries else None
+        """Earliest delivery timeout of a task still awaiting delivery."""
+        expiries = self._expiries
+        while expiries and expiries[0][2] not in self._delivery:
+            heapq.heappop(expiries)
+        return expiries[0][0] if expiries else None
 
-    def expire(self) -> TrackerTask | None:
-        """Pop the earliest delivery timeout; its task, now expired, or None if it settled first."""
-        _due, _accepted, task = heapq.heappop(self._expiries)
-        if task.state is not TrackerState.AWAITING_DELIVERY:
-            return None
-        self._settle(task, TrackerState.EXPIRED)
+    def expire(self) -> TrackerTask:
+        """Settle and return the task of the earliest delivery timeout (see next_deadline)."""
+        task = self._delivery.pop(heapq.heappop(self._expiries)[2])
+        del self._open[task.callee_id]
         return task

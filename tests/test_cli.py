@@ -199,6 +199,56 @@ def test_config_with_non_finite_number_is_code_1(tmp_path, capsys, literal):
     assert literal in _assert_input_error(capsys, config)
 
 
+_HUGE = "1" + "0" * 400  # an integer too large for a float
+
+
+@pytest.mark.parametrize("field", ["sorter_t_floor_min", "precall_prob_threshold"])
+def test_config_with_integer_too_large_for_a_float_is_code_1(tmp_path, capsys, field):
+    config = tmp_path / "config.json"
+    config.write_text('{"%s": %s}' % (field, _HUGE), encoding="utf-8")
+    assert main(["validate", "--config", str(config)]) == 1
+    assert f"field {field!r}" in _assert_input_error(capsys, config)
+
+
+@pytest.mark.parametrize(
+    "t, code", [(2**53 - 1, 0), (2**53, 1), (_HUGE, 1)], ids=["limit", "past_limit", "huge"]
+)
+def test_scenario_time_is_bounded(workspace, capsys, t, code):
+    tmp_path, _scenario, kb, _config = workspace
+    scenario = tmp_path / "late.jsonl"
+    scenario.write_text(
+        '{"t": 0, "type": "message_received", "caller": "c1"}\n'
+        '{"t": %s, "type": "snapshot_request"}\n' % t,
+        encoding="utf-8",
+    )
+    out = tmp_path / "out.jsonl"
+    argv = ["run", "--scenario", str(scenario), "--kb", str(kb), "--out", str(out)]
+    assert main(argv) == code
+    if code:
+        assert "field 't' out of range" in _assert_input_error(capsys, scenario, line=2)
+
+
+# Lines padded with whitespace that JSON does not allow (str.strip would take it off).
+_NOT_JSON_WHITESPACE = ["\u00a0%s", "\x1c%s\u2028", "\x0b"]
+
+
+@pytest.mark.parametrize("pad", _NOT_JSON_WHITESPACE, ids=["nbsp", "separators", "vtab_only"])
+@pytest.mark.parametrize(
+    "argv, good",
+    [
+        (["validate", "--scenario"], '{"t": 0, "type": "snapshot_request"}'),
+        (["report", "--log"], '{"t":0,"seq":1,"kind":"ring","caller":"c1"}'),
+    ],
+    ids=["scenario", "log"],
+)
+def test_whitespace_outside_json_is_code_1(tmp_path, capsys, argv, good, pad):
+    path = tmp_path / "input.jsonl"
+    bad = pad % good if "%s" in pad else pad
+    path.write_text(f"{good}\n{bad}\n", encoding="utf-8")
+    assert main(argv + [str(path)]) == 1
+    _assert_input_error(capsys, path, line=2)
+
+
 def test_report_rejects_non_finite_score(tmp_path, capsys):
     log = tmp_path / "log.jsonl"
     log.write_text(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import io
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from alertagent.engine import (
     _ALERT_FIELDS,
     AlertLog,
+    Engine,
     alert_to_json,
     parse_scenario,
     read_alert_log,
@@ -17,6 +19,7 @@ from alertagent.errors import AlertLogError, ScenarioError
 from alertagent.kb import SafetyRecord, kb_to_text
 from alertagent.model import ALERT_KINDS, AgentConfig, BatteryAction, BatteryActionSpec
 from alertagent.sorter import MissedItemTally
+from alertagent.tracker import TrackerTask
 
 from helpers import contact_doc, kb_doc, kinds_of, load_kb_doc, log_text, make_scenario
 
@@ -49,6 +52,12 @@ def test_parse_splits_lines_at_newline_only():
     scenario = parse_scenario(io.StringIO(text))
     assert scenario.events[0].data["caller"] == "a\u2028b\x85c"
     assert [ev.seq for ev in scenario.events] == [1, 2]
+
+
+def test_parse_strips_json_whitespace_around_a_line():
+    text = ' \t{"t": 0, "type": "call_end"}\t \r\n \t\r\n{"t": 1, "type": "call_end"}\r\n'
+    scenario = parse_scenario(io.StringIO(text))
+    assert [(ev.t, ev.seq) for ev in scenario.events] == [(0, 1), (1, 3)]
 
 
 def test_parse_fills_defaults_and_drops_t_and_type_from_data():
@@ -334,6 +343,65 @@ def test_late_report_after_timeout_is_ignored():
     ]
     log, _ = run(lines)
     assert kinds_of(log) == ["prompt", "tracker_message", "tracker_expired"]
+
+
+def test_late_report_for_a_minted_id_is_silent_and_any_other_id_is_a_diagnostic():
+    too_long = "m" + "1" * 5000  # past int()'s digit limit for strings
+    unknown = ("m3", "m0", "m01", too_long)
+    lines = [
+        {"t": 0, "type": "call_failed", "callee": "c3", "reason": "unreachable"},
+        {"t": 0, "type": "call_failed", "callee": "c4", "reason": "unreachable"},
+        {"t": 1, "type": "user_response", "prompt_id": "p1", "answer": "yes"},
+        {"t": 1, "type": "user_response", "prompt_id": "p2", "answer": "yes"},
+        {"t": 2, "type": "delivery_report", "tracking_msg_id": "m2", "positive": True},
+        # m2 is the last id minted and its task has settled: stale, no diagnostic
+        {"t": 3, "type": "delivery_report", "tracking_msg_id": "m2", "positive": True},
+        *(
+            {"t": 4, "type": "delivery_report", "tracking_msg_id": msg_id, "positive": True}
+            for msg_id in unknown
+        ),
+    ]
+    log, _ = run(lines)
+    assert kinds_of(log) == [
+        "prompt",
+        "prompt",
+        "tracker_message",
+        "tracker_message",
+        "tracker_notify",
+        "tracker_expired",
+    ]
+    assert log.entries[-1].payload["tracking_msg_id"] == "m1"
+    assert log.diagnostics == [
+        f"t=4: delivery_report for unknown tracking id {msg_id!r}" for msg_id in unknown
+    ]
+
+
+def test_settled_tracker_tasks_are_not_kept():
+    lines = []
+    for i in range(1000):
+        t = 10 * i
+        lines += [
+            {"t": t, "type": "call_failed", "callee": "c3", "reason": "unreachable"},
+            {"t": t + 1, "type": "user_response", "prompt_id": f"p{i + 1}", "answer": "yes"},
+            {
+                "t": t + 2,
+                "type": "delivery_report",
+                "tracking_msg_id": f"m{i + 1}",
+                "positive": True,
+            },
+        ]
+    scenario = make_scenario(lines)
+
+    def live_tasks() -> int:
+        gc.collect()
+        return sum(isinstance(obj, TrackerTask) for obj in gc.get_objects())
+
+    before = live_tasks()
+    engine = Engine(AgentConfig(), load_kb_doc(kb_doc()))
+    log = engine.run(scenario)
+    assert kinds_of(log).count("tracker_notify") == 1000
+    assert live_tasks() - before == 0
+    assert engine.tracker._open == {}
 
 
 def test_response_to_settled_prompt_goes_to_diagnostics():

@@ -45,9 +45,7 @@ def test_attend_removes_entry_once():
     ledger.track(Alert(t=0, seq=1, kind="ring", payload={}))
     assert ledger.attend(1) is True
     assert ledger.attend(1) is False
-    # The deadline stays queued; popping it yields nothing to forward.
-    assert ledger.next_deadline() == 60_000
-    assert ledger.pop_due() is None
+    # An attended alert leaves no deadline behind.
     assert ledger.next_deadline() is None
 
 
@@ -66,7 +64,19 @@ def test_entries_are_independent():
     beep = Alert(t=5, seq=2, kind="beep", payload={})
     ledger.track(beep)
     assert ledger.attend(1) is True
-    assert ledger.next_deadline() == 10
-    assert ledger.pop_due() is None
     assert ledger.next_deadline() == 15
     assert ledger.pop_due() is beep
+    assert ledger.next_deadline() is None
+
+
+def test_attending_a_middle_alert_keeps_deadline_order():
+    ledger = AttendanceLedger(window_ms=10)
+    alerts = [Alert(t=t, seq=seq, kind="ring", payload={}) for seq, t in enumerate((0, 0, 4), 1)]
+    for alert in alerts:
+        ledger.track(alert)
+    assert ledger.attend(2) is True
+    assert ledger.next_deadline() == 10
+    assert ledger.pop_due() is alerts[0]
+    assert ledger.next_deadline() == 14
+    assert ledger.pop_due() is alerts[2]
+    assert ledger.next_deadline() is None

@@ -12,11 +12,17 @@ import pytest
 pytest.importorskip("hypothesis")
 
 from hypothesis import settings, strategies as st  # noqa: E402
-from hypothesis.stateful import RuleBasedStateMachine, invariant, rule  # noqa: E402
+from hypothesis.stateful import (  # noqa: E402
+    Bundle,
+    RuleBasedStateMachine,
+    invariant,
+    multiple,
+    rule,
+)
 
 from alertagent.model import Group  # noqa: E402
 from alertagent.sorter import MissedItemTally  # noqa: E402
-from alertagent.tracker import CallerTracker, TrackerState  # noqa: E402
+from alertagent.tracker import CallerTracker  # noqa: E402
 
 from helpers import Record, kb_with  # noqa: E402
 from test_acceptance import _oracle_sorted  # noqa: E402
@@ -62,72 +68,106 @@ class TallyMachine(RuleBasedStateMachine):
 
 
 TIMEOUT_MS = 10_000
-OPEN_STATES = (TrackerState.AWAITING_CONSENT, TrackerState.AWAITING_DELIVERY)
+CONSENT, DELIVERY, SETTLED = "awaiting_consent", "awaiting_delivery", "settled"
 
 
 class TrackerMachine(RuleBasedStateMachine):
-    """``CallerTracker`` against a model of each callee's open task and each task's expiry."""
+    """``CallerTracker`` against a model of each callee's open task and each task's expiry.
+
+    Answers and reports name ids the tracker minted, drawn from bundles, so
+    that tasks get far enough to settle; ``foreign_ids`` names ids it never minted.
+    """
+
+    prompts = Bundle("prompts")
+    messages = Bundle("messages")
 
     def __init__(self) -> None:
         super().__init__()
         self.tracker = CallerTracker(TIMEOUT_MS)
         self.t = 0
-        self.state: dict[str, TrackerState] = {}  # prompt id -> state
+        self.state: dict[str, str] = {}  # prompt id -> state
         self.callee: dict[str, str] = {}  # prompt id -> callee
         self.created: dict[str, int] = {}  # prompt id -> time of the failed call
         self.open: dict[str, str] = {}  # callee -> prompt id of its open task
         self.msg: dict[str, str] = {}  # tracking message id -> prompt id
-        self.expiries: list[tuple[int, int, str]] = []  # (due, acceptance number, prompt id)
+        # (due, acceptance number, prompt id) of each task awaiting delivery
+        self.expiries: list[tuple[int, int, str]] = []
 
-    @rule(callee=st.sampled_from(("x", "y", "z")), step=STEP_MS)
+    def _settle(self, prompt_id: str) -> None:
+        self.state[prompt_id] = SETTLED
+        del self.open[self.callee[prompt_id]]
+        # A settled task's expiry is dropped, as next_deadline drops it.
+        self.expiries = [e for e in self.expiries if e[2] != prompt_id]
+
+    @rule(target=prompts, callee=st.sampled_from(("x", "y", "z")), step=STEP_MS)
     def call_failed(self, callee, step):
         self.t += step
         task = self.tracker.on_call_failed(self.t, callee, "unreachable")
         if callee in self.open:
             assert task is None
-            return
+            return multiple()
         prompt_id = f"p{len(self.state) + 1}"
         assert task is not None and task.prompt_id == prompt_id
-        self.state[prompt_id] = TrackerState.AWAITING_CONSENT
+        self.state[prompt_id] = CONSENT
         self.callee[prompt_id] = callee
         self.created[prompt_id] = self.t
         self.open[callee] = prompt_id
+        return prompt_id
 
-    @rule(number=st.integers(1, 4), answer=st.sampled_from(("yes", "no")), step=STEP_MS)
-    def user_response(self, number, answer, step):
+    @rule(
+        target=messages,
+        prompt_id=prompts,
+        answer=st.sampled_from(("yes", "no")),
+        step=STEP_MS,
+    )
+    def user_response(self, prompt_id, answer, step):
         self.t += step
-        prompt_id = f"p{number}"
         outcome, _task = self.tracker.on_user_response(self.t, prompt_id, answer)
-        if self.state.get(prompt_id) is not TrackerState.AWAITING_CONSENT:
+        if self.state.get(prompt_id) != CONSENT:
             assert outcome == "ignored"
         elif answer == "no":
             assert outcome == "declined"
-            self.state[prompt_id] = TrackerState.DECLINED
-            del self.open[self.callee[prompt_id]]
+            self._settle(prompt_id)
         else:
             assert outcome == "accepted"
-            self.state[prompt_id] = TrackerState.AWAITING_DELIVERY
-            self.msg[f"m{len(self.msg) + 1}"] = prompt_id
+            self.state[prompt_id] = DELIVERY
+            msg_id = f"m{len(self.msg) + 1}"
+            self.msg[msg_id] = prompt_id
             # Strictly past the timeout from the failed call, or at once if later.
             due = max(self.t, self.created[prompt_id] + TIMEOUT_MS + 1)
             self.expiries.append((due, len(self.msg), prompt_id))
+            return msg_id
+        return multiple()
 
-    @rule(number=st.integers(1, 4), positive=st.booleans(), step=STEP_MS)
-    def delivery_report(self, number, positive, step):
+    @rule(
+        msg_id=messages,
+        positive=st.booleans(),
+        step=STEP_MS,
+    )
+    def delivery_report(self, msg_id, positive, step):
         self.t += step
-        msg_id = f"m{number}"
         outcome, _task = self.tracker.on_delivery_report(self.t, msg_id, positive)
         prompt_id = self.msg.get(msg_id)
         if prompt_id is None:
             assert outcome == "unknown"
-        elif self.state[prompt_id] is not TrackerState.AWAITING_DELIVERY:
+        elif self.state[prompt_id] != DELIVERY:
             assert outcome == "stale"
         elif not positive:
             assert outcome == "negative"
         else:
             assert outcome == "done"
-            self.state[prompt_id] = TrackerState.DONE
-            del self.open[self.callee[prompt_id]]
+            self._settle(prompt_id)
+
+    @rule(
+        prompt_id=st.sampled_from(("p0", "p01", "q1")),
+        msg_id=st.sampled_from(("m0", "m01", "m+1", "n1")),
+        step=STEP_MS,
+    )
+    def foreign_ids(self, prompt_id, msg_id, step):
+        """Ids the tracker never minted: answers are ignored, reports unknown."""
+        self.t += step
+        assert self.tracker.on_user_response(self.t, prompt_id, "yes") == ("ignored", None)
+        assert self.tracker.on_delivery_report(self.t, msg_id, True) == ("unknown", None)
 
     @rule(step=STEP_MS)
     def fire_due_timeouts(self, step):
@@ -135,26 +175,23 @@ class TrackerMachine(RuleBasedStateMachine):
         self.t += step
         self.expiries.sort()
         while self.expiries and self.expiries[0][0] <= self.t:
-            due, _number, prompt_id = self.expiries.pop(0)
+            due, _number, prompt_id = self.expiries[0]
             assert self.tracker.next_deadline() == due
-            task = self.tracker.expire()
-            if self.state[prompt_id] is TrackerState.AWAITING_DELIVERY:
-                assert task is not None and task.prompt_id == prompt_id
-                self.state[prompt_id] = TrackerState.EXPIRED
-                del self.open[self.callee[prompt_id]]
-            else:
-                assert task is None
+            assert self.tracker.expire().prompt_id == prompt_id
+            self._settle(prompt_id)
 
     @invariant()
     def matches_model(self):
         tracker = self.tracker
         assert tracker.next_deadline() == min(self.expiries, default=(None,))[0]
-        assert {p: task.state for p, task in tracker.tasks.items()} == self.state
+        assert set(tracker._consent) == {p for p, s in self.state.items() if s == CONSENT}
+        delivery = {m for m, p in self.msg.items() if self.state[p] == DELIVERY}
+        assert set(tracker._delivery) == delivery
         assert {c: task.prompt_id for c, task in tracker._open.items()} == self.open
-        # The open index agrees with a scan of every task.
-        scanned = [task for task in tracker.tasks.values() if task.state in OPEN_STATES]
-        assert {task.callee_id: task.prompt_id for task in scanned} == self.open
-        assert len(scanned) == len(self.open)
+        # The open index holds exactly the tasks of the two state indexes.
+        held = list(tracker._consent.values()) + list(tracker._delivery.values())
+        assert sorted(task.prompt_id for task in held) == sorted(self.open.values())
+        assert {task.callee_id: task for task in held} == tracker._open
 
 
 TestTally = TallyMachine.TestCase
