@@ -118,13 +118,20 @@ class AlertLog:
     diagnostics: list[str] = field(default_factory=list)
 
 
-# One encoder for every line: json.dumps with non-default separators builds a
-# new encoder per call.
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
+# JSONEncoder.encode builds a new C encoder on every call; this one is built
+# once, with _ENCODER's settings (ASCII strings, keys in record order) but no
+# circular-reference check, as a record is a tree. Without the _json
+# accelerator c_make_encoder is None and _ENCODER encodes.
+_C_ENCODER = json.encoder.c_make_encoder and json.encoder.c_make_encoder(
+    None, _ENCODER.default, json.encoder.encode_basestring_ascii, None,
+    ":", ",", False, False, True,
+)
 
 
 def alert_to_json(alert: Alert) -> str:
-    return _ENCODER.encode(alert.to_record())
+    record = alert.to_record()
+    return "".join(_C_ENCODER(record, 0)) if _C_ENCODER else _ENCODER.encode(record)
 
 
 def write_alert_log(log: AlertLog, sink: str | Path | IO[str]) -> None:

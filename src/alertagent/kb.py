@@ -16,8 +16,8 @@ serialize to identical bytes, and load(save(kb)) reproduces an equal value.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import IO, Any
 
@@ -177,38 +177,42 @@ def kb_from_dict(doc: Any) -> KnowledgeBase:
     return kb
 
 
-def kb_to_dict(kb: KnowledgeBase) -> dict[str, Any]:
-    """Plain-data form with deterministic ordering, ready for serialization."""
-    return {
-        "contacts": [
-            {
-                "id": contact.id,
-                "name": contact.display_name,
-                "group": contact.group.value,
-                "temp_important": contact.temp_important,
-            }
-            for contact in (kb.contacts[key] for key in sorted(kb.contacts))
-        ],
-        "context_signals": {
-            signal: context.value for signal, context in sorted(kb.context_signals.items())
-        },
-        "devices": [
-            {
-                "device_id": device.device_id,
-                "contexts": sorted(c.value for c in device.contexts),
-                "kinds": sorted(device.kinds),
-            }
-            for device in kb.devices
-        ],
-        "safety_records": {
-            caller_id: {"total": record.total_calls, "unsafe": record.unsafe_calls}
-            for caller_id, record in sorted(kb.safety_records.items())
-        },
-    }
+def _block(items: list[str], depth: int, brackets: str = "[]") -> str:
+    """Encoded ``items`` as an indented JSON array, or object with brackets "{}",
+    whose closing bracket is indented ``depth`` levels."""
+    if not items:
+        return brackets
+    between = ",\n" + "  " * (depth + 1)
+    return f"{brackets[0]}{between[1:]}{between.join(items)}\n{'  ' * depth}{brackets[1]}"
 
 
 def kb_to_text(kb: KnowledgeBase) -> str:
-    return json.dumps(kb_to_dict(kb), sort_keys=True, indent=2) + "\n"
+    """The canonical document, byte for byte what ``json.dumps(doc, sort_keys=True,
+    indent=2) + "\\n"`` gives; before Python 3.13 indent=2 makes json encode in
+    pure Python, so the layout is written here around json's C string encoder."""
+    s = encode_basestring_ascii
+    contacts = [
+        _block([f'"group": {s(c.group.value)}', f'"id": {s(c.id)}',
+                f'"name": {s(c.display_name)}',
+                f'"temp_important": {"true" if c.temp_important else "false"}'], 2, "{}")
+        for c in (kb.contacts[key] for key in sorted(kb.contacts))
+    ]
+    devices = [
+        _block([f'"contexts": {_block([s(v) for v in sorted(c.value for c in d.contexts)], 3)}',
+                f'"device_id": {s(d.device_id)}',
+                f'"kinds": {_block([s(k) for k in sorted(d.kinds)], 3)}'], 2, "{}")
+        for d in kb.devices
+    ]
+    signals = [f"{s(key)}: {s(c.value)}" for key, c in sorted(kb.context_signals.items())]
+    records = [
+        f"{s(caller_id)}: "
+        + _block([f'"total": {r.total_calls}', f'"unsafe": {r.unsafe_calls}'], 2, "{}")
+        for caller_id, r in sorted(kb.safety_records.items())
+    ]
+    return _block([f'"contacts": {_block(contacts, 1)}',
+                   f'"context_signals": {_block(signals, 1, "{}")}',
+                   f'"devices": {_block(devices, 1)}',
+                   f'"safety_records": {_block(records, 1, "{}")}'], 0, "{}") + "\n"
 
 
 def load_kb(source: str | Path | IO[str]) -> KnowledgeBase:

@@ -50,10 +50,19 @@ def _read_text(source: str | Path | IO[str], error: type[InputError]) -> str:
 
 
 def _decode(text: str, error: type[InputError], line: int | None = None) -> Any:
-    """Decode one JSON text; ``line`` is its line number when it is one line of a file."""
+    """Decode one JSON text; ``line`` is its line number when it is one line of a file.
+
+    A line comes stripped of JSON whitespace, so ``raw_decode`` (no whitespace
+    scans) reads it whole or leaves "Extra data", as ``decode`` would.
+    """
     where = "" if line is None else f"line {line}: "
     try:
-        return _DECODER.decode(text)
+        if line is None:
+            return _DECODER.decode(text)
+        obj, end = _DECODER.raw_decode(text)
+        if end != len(text):
+            raise json.JSONDecodeError("Extra data", text, end)
+        return obj
     except json.JSONDecodeError as exc:
         if line is None:
             where = f"line {exc.lineno}, column {exc.colno}: "
@@ -294,6 +303,12 @@ class BatteryActionSpec:
     destination: str = ""
 
 
+def _clip(value: Any) -> str:
+    """``value`` as an error message echoes it: at most 20 characters."""
+    text = str(value)
+    return text if len(text) <= 20 else text[:19] + "…"
+
+
 @dataclass(frozen=True)
 class AgentConfig:
     """Tunable thresholds for every subsystem, all on the virtual clock."""
@@ -312,8 +327,8 @@ class AgentConfig:
         if not 0 < self.battery_critical_pct < self.battery_rearm_pct <= 100:
             raise ConfigError(
                 "battery thresholds must satisfy 0 < battery_critical_pct "
-                f"< battery_rearm_pct <= 100, got {self.battery_critical_pct} "
-                f"and {self.battery_rearm_pct}"
+                f"< battery_rearm_pct <= 100, got {_clip(self.battery_critical_pct)} "
+                f"and {_clip(self.battery_rearm_pct)}"
             )
         for name in ("safe_call_limit_ms", "attend_window_ms", "tracker_timeout_ms"):
             if getattr(self, name) <= 0:

@@ -6,9 +6,12 @@ import json
 
 import pytest
 
+from alertagent.cli import main
 from alertagent.config import config_from_dict, load_config
 from alertagent.errors import ConfigError
 from alertagent.model import AgentConfig, BatteryAction
+
+from helpers import kb_doc
 
 
 def load(doc) -> AgentConfig:
@@ -77,3 +80,24 @@ def test_config_from_dict_leaves_its_document_unchanged():
     assert doc == before
     assert isinstance(config.precall_prob_threshold, float)
     assert config.battery_actions[0].destination == ""
+
+
+@pytest.mark.parametrize("field", ["battery_critical_pct", "battery_rearm_pct"])
+def test_threshold_error_clips_a_huge_value(tmp_path, capsys, field):
+    huge = "1" + "0" * 400
+    (tmp_path / "config.json").write_text(f'{{"{field}": {huge}}}', encoding="utf-8")
+    (tmp_path / "kb.json").write_text(json.dumps(kb_doc()), encoding="utf-8")
+    (tmp_path / "scenario.jsonl").write_text('{"t": 0, "type": "call_end"}\n', encoding="utf-8")
+    code = main(
+        [
+            "run",
+            "--scenario", str(tmp_path / "scenario.jsonl"),
+            "--kb", str(tmp_path / "kb.json"),
+            "--config", str(tmp_path / "config.json"),
+            "--out", str(tmp_path / "log.jsonl"),
+        ]
+    )
+    err = capsys.readouterr().err.strip()
+    assert code == 1
+    assert field in err and "1000000000000000000…" in err
+    assert len(err) < 200, err

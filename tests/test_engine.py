@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import io
+import json
 
 import pytest
 
@@ -119,6 +120,32 @@ def test_parse_rejects_malformed_lines(line, fragment):
     with pytest.raises(ScenarioError) as err:
         parse_scenario(io.StringIO(line))
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ('{"t":0} x', "invalid JSON: Extra data"),
+        ("{}{}", "invalid JSON: Extra data"),
+        ('{"t":0}]', "invalid JSON: Extra data"),
+        (" x", "invalid JSON: Expecting value"),
+        ("[]", "expected a JSON object"),
+        ('{"a":NaN}', "invalid JSON: NaN is not a finite number"),
+        ('{"a":1,"b":2,"a":3}', "invalid JSON: duplicate key 'a'"),
+    ],
+)
+@pytest.mark.parametrize(
+    "read, first, error",
+    [
+        (parse_scenario, '{"t":0,"type":"call_end"}', ScenarioError),
+        (read_alert_log, '{"t":0,"seq":1,"kind":"ring","caller":"c"}', AlertLogError),
+    ],
+    ids=["scenario", "log"],
+)
+def test_line_errors_are_exact(read, first, error, line, message):
+    with pytest.raises(error) as err:
+        read(io.StringIO(f"{first}\n{line}\n"))
+    assert str(err.value) == f"line 2: {message}"
 
 
 # -- basic runs ---------------------------------------------------------------
@@ -660,6 +687,40 @@ def test_rewriting_a_read_log_sorts_top_level_keys_and_keeps_nested_ones():
         '{"t":60001,"seq":4,"kind":"sorted_list_snapshot",'
         '"entries":[{"score":3,"kind":"call","caller":"c3"}]}\n'
     )
+
+
+# One line of every alert kind as a read-back log may hold it: keys out of
+# order in a nested alert, integer and float scores, non-ASCII and astral callers.
+_EVERY_KIND_LOG = (
+    '{"t":0,"seq":1,"kind":"ring","caller":"Zoé"}\n'
+    '{"t":1,"seq":2,"kind":"beep","caller":"\U0001f600 \\"q\\""}\n'
+    '{"t":2,"seq":3,"kind":"suppress_note","caller":"c1","count":2,"ring_at":3}\n'
+    '{"t":3,"seq":4,"kind":"prompt","prompt_id":"p1","callee":"cé2","reason":"dropped"}\n'
+    '{"t":4,"seq":5,"kind":"tracker_message","prompt_id":"p1","callee":"c2",'
+    '"tracking_msg_id":"m1"}\n'
+    '{"t":5,"seq":6,"kind":"tracker_notify","prompt_id":"p1","callee":"c2",'
+    '"tracking_msg_id":"m1"}\n'
+    '{"t":6,"seq":7,"kind":"tracker_expired","prompt_id":"p2","callee":"c3",'
+    '"tracking_msg_id":"m2"}\n'
+    '{"t":7,"seq":8,"kind":"radiation_precall_warning","caller":"c1",'
+    '"probability":0.30000000000000004}\n'
+    '{"t":8,"seq":9,"kind":"radiation_incall_warning","caller":"c1","exposure_ms":360000}\n'
+    '{"t":9,"seq":10,"kind":"battery_action","action":"inform_caller","caller":"c1"}\n'
+    '{"t":9,"seq":11,"kind":"battery_action","destination":"+1-555","action":"send_status_sms"}\n'
+    '{"t":60000,"seq":12,"kind":"forward_to_device","device_id":"d\U0001f4f1",'
+    '"alert":{"seq":1,"t":0,"caller":"Zoé","kind":"ring","extra":[1,{"b":2,"a":1.5}]}}\n'
+    '{"t":60001,"seq":13,"kind":"sorted_list_snapshot","entries":['
+    '{"score":3,"kind":"call","caller":"c3"},{"caller":"c1","kind":"call","score":1e-07},'
+    '{"caller":"\U0001f600","kind":"message","score":1e+16},'
+    '{"caller":"Zoé","kind":"message","score":0.30000000000000004}]}\n'
+)
+
+
+def test_alert_to_json_is_compact_json_dumps_for_every_kind():
+    alerts = read_alert_log(io.StringIO(_EVERY_KIND_LOG))
+    assert {alert.kind for alert in alerts} == set(ALERT_KINDS)
+    for alert in alerts:
+        assert alert_to_json(alert) == json.dumps(alert.to_record(), separators=(",", ":"))
 
 
 def test_alert_table_covers_every_alert_kind():

@@ -10,10 +10,13 @@ generator replays the scenario once with this engine to name attendance ids).
 from __future__ import annotations
 
 import hashlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from alertagent.cli import main
 from alertagent.config import load_config
 from alertagent.engine import parse_scenario, run_scenario, write_alert_log
 from alertagent.kb import load_kb, save_kb
@@ -106,3 +109,49 @@ def test_golden_outputs(case, tmp_path):
         load_bench_gen().generate(workload, int(seed), inputs, SCALE)
         assert _sha256(inputs / "scenario.jsonl") == scenario_sha, "generator drift"
     assert _replay(inputs, tmp_path / "out") == (log_sha, kb_sha)
+
+
+# alertagent's CLI with json's C accelerator blocked, so that json scans and
+# encodes in pure Python.
+_WITHOUT_C_JSON = """
+import sys
+sys.modules["_json"] = None
+sys.path.insert(0, sys.argv[1])
+import json.encoder, json.scanner
+if json.encoder.c_make_encoder or json.scanner.c_make_scanner:
+    sys.exit("json's C accelerator is still loaded")
+from alertagent.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("case", ["sample", "busy_day-1"])
+def test_outputs_are_the_same_without_json_c_accelerator(case, tmp_path):
+    if case == "sample":
+        inputs = ROOT / "sample"
+    else:
+        workload, seed = case.rsplit("-", 1)
+        inputs = tmp_path / "in"
+        load_bench_gen().generate(workload, int(seed), inputs, SCALE)
+    outputs = {}
+    for side in ("c", "python"):
+        out = tmp_path / side
+        out.mkdir()
+        argv = [
+            "run",
+            "--scenario", str(inputs / "scenario.jsonl"),
+            "--kb", str(inputs / "kb.json"),
+            "--config", str(inputs / "config.json"),
+            "--out", str(out / "log.jsonl"),
+            "--kb-out", str(out / "kb.json"),
+        ]
+        if side == "c":
+            assert main(argv) == 0
+        else:
+            proc = subprocess.run(
+                [sys.executable, "-c", _WITHOUT_C_JSON, str(ROOT / "src"), *argv],
+                capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+        outputs[side] = (_sha256(out / "log.jsonl"), _sha256(out / "kb.json"))
+    assert outputs["python"] == outputs["c"]

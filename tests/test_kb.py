@@ -2,15 +2,18 @@ from __future__ import annotations
 
 import copy
 import io
+import json
 import random
 
 import pytest
 
+from alertagent.context import Context
 from alertagent.errors import KnowledgeBaseError
+from alertagent.forwarder import DeviceRegistration
 from alertagent.kb import KnowledgeBase, SafetyRecord, kb_from_dict, kb_to_text, load_kb, save_kb
-from alertagent.model import Group
+from alertagent.model import ALERT_KINDS, Contact, Group
 
-from helpers import contact_doc, kb_doc, load_kb_doc
+from helpers import contact_doc, kb_doc, load_bench_gen, load_kb_doc
 
 
 def test_empty_document_loads_empty_kb():
@@ -166,3 +169,95 @@ def test_kb_from_dict_leaves_its_document_unchanged():
     kb = kb_from_dict(doc)
     assert doc == before
     assert kb.contacts["a"].temp_important and kb.safety_records["a"].unsafe_calls == 1
+
+
+def _plain(kb: KnowledgeBase) -> dict:
+    """The canonical document as plain data: contacts by id, sets sorted."""
+    return {
+        "contacts": [
+            {"id": c.id, "name": c.display_name, "group": c.group.value,
+             "temp_important": c.temp_important}
+            for c in sorted(kb.contacts.values(), key=lambda c: c.id)
+        ],
+        "context_signals": {key: context.value for key, context in kb.context_signals.items()},
+        "devices": [
+            {"device_id": d.device_id, "contexts": sorted(c.value for c in d.contexts),
+             "kinds": sorted(d.kinds)}
+            for d in kb.devices
+        ],
+        "safety_records": {
+            caller_id: {"total": r.total_calls, "unsafe": r.unsafe_calls}
+            for caller_id, r in kb.safety_records.items()
+        },
+    }
+
+
+def assert_json_dumps_layout(kb: KnowledgeBase) -> None:
+    text = kb_to_text(kb)
+    expected = json.dumps(_plain(kb), sort_keys=True, indent=2) + "\n"
+    if text != expected:  # name one line: pytest's full diff of a large KB takes minutes
+        pairs = zip(text.split("\n"), expected.split("\n"))
+        line, got, want = next((n, a, b) for n, (a, b) in enumerate(pairs, 1) if a != b)
+        pytest.fail(f"line {line}: kb_to_text wrote {got!r}, json.dumps {want!r}")
+
+
+@pytest.mark.parametrize("workload", ["busy_day", "callback_snapshots", "unreachable_callees"])
+def test_kb_to_text_is_json_dumps_on_the_bench_kbs(tmp_path, workload):
+    load_bench_gen().generate(workload, 1, tmp_path, 0.2)
+    kb = load_kb(tmp_path / "kb.json")
+    assert kb.contacts and kb.safety_records and kb.devices and kb.context_signals
+    assert_json_dumps_layout(kb)
+
+
+# Characters JSON escapes or that sort differently once escaped.
+_AWKWARD = ["a", "Z", "0", " ", '"', "\\", "/", "\x00", "\x1f", "\n", "\x7f", "é", " ",
+            "\U0001f600"]
+
+
+def _awkward(rng: random.Random) -> str:
+    return "".join(rng.choice(_AWKWARD) for _ in range(rng.randint(1, 5)))
+
+
+def test_kb_to_text_is_json_dumps_on_awkward_strings():
+    rng = random.Random(2718)
+    for _ in range(200):
+        kb = KnowledgeBase()
+        for _ in range(rng.randrange(6)):
+            cid = _awkward(rng)
+            name = _awkward(rng) if rng.random() < 0.8 else ""
+            kb.contacts[cid] = Contact(cid, name, rng.choice(list(Group)), rng.random() < 0.5)
+        for _ in range(rng.randrange(4)):
+            kb.context_signals[_awkward(rng)] = rng.choice(list(Context))
+        for _ in range(rng.randrange(4)):
+            contexts = frozenset(rng.sample(list(Context), rng.randint(1, 3)))
+            kinds = rng.sample(ALERT_KINDS, rng.randint(1, 3)) + [_awkward(rng)]
+            kb.devices.append(DeviceRegistration(_awkward(rng), contexts, frozenset(kinds)))
+        for _ in range(rng.randrange(5)):
+            total = rng.choice([0, 1, 7, 2**70])
+            kb.safety_records[_awkward(rng)] = SafetyRecord(total, total // 2)
+        assert_json_dumps_layout(kb)
+
+
+def _full_kb() -> KnowledgeBase:
+    return load_kb_doc(
+        kb_doc(
+            contacts=[contact_doc("b", "B"), contact_doc("a", "A", temp_important=True)],
+            safety={"x": {"total": 4, "unsafe": 2}, "w": {"total": 0, "unsafe": 0}},
+            devices=[
+                {"device_id": "tv", "contexts": ["Home"], "kinds": ["ring"]},
+                {"device_id": "pc", "contexts": ["Workspace", "Home"], "kinds": ["ring", "beep"]},
+            ],
+            signals={"wifi_network:home-net": "Home", "audio_device:car-kit": "Driving"},
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "section", ["contacts", "context_signals", "devices", "safety_records", None]
+)
+def test_kb_to_text_is_json_dumps_with_a_section_empty(section):
+    kb = _full_kb()
+    if section is not None:
+        getattr(kb, section).clear()
+    assert_json_dumps_layout(kb)
+    assert_json_dumps_layout(KnowledgeBase())
