@@ -19,10 +19,6 @@ class BatteryGuard:
         self._actions = config.battery_actions
         self.armed = True
 
-    @property
-    def episode_active(self) -> bool:
-        return not self.armed
-
     def on_level(self, pct: int) -> bool:
         """Record a battery reading; True when the critical burst fires now."""
         if self.armed and pct < self._critical:

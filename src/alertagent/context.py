@@ -40,17 +40,12 @@ class ContextEngine:
         self.current = Context.UNKNOWN
         self.user_pinned = False
 
-    def apply_user(self, context: Context) -> Context:
+    def apply_user(self, context: Context) -> None:
         """User input sets the context unconditionally and pins it."""
         self.current = context
         self.user_pinned = True
-        return self.current
 
-    def apply_sensor(self, signal_kind: str, signal_value: str) -> Context:
+    def apply_sensor(self, signal_kind: str, signal_value: str) -> None:
         """Registered signals switch the context unless the user pinned one."""
-        if self.user_pinned:
-            return self.current
-        target = self._registry.get(signal_key(signal_kind, signal_value))
-        if target is not None:
-            self.current = target
-        return self.current
+        if not self.user_pinned:
+            self.current = self._registry.get(signal_key(signal_kind, signal_value), self.current)

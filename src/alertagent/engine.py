@@ -25,7 +25,9 @@ from .errors import AlertLogError, ScenarioError
 from .forwarder import AttendanceLedger, matching_devices
 from .kb import KnowledgeBase
 from .model import (
-    ABSENT,
+    ALERT_FIELDS,
+    FAILURE_REASONS,
+    MAX_T,
     REQUIRED,
     USER_FACING_ALERT_KINDS,
     AgentConfig,
@@ -34,7 +36,6 @@ from .model import (
     Event,
     Fields,
     check_fields,
-    fields_problem,
     need_int,
     need_str,
     need_type,
@@ -44,7 +45,7 @@ from .model import (
 from .radiation import CallMonitor, is_unsafe_call, should_warn_precall, unsafe_probability
 from .sleep import RING, SleepGate, alert_ordinal
 from .sorter import MissedItemTally
-from .tracker import FAILURE_REASONS, CallerTracker, TrackerTask
+from .tracker import CallerTracker, TrackerTask
 
 # ---------------------------------------------------------------------------
 # Scenario parsing
@@ -59,7 +60,7 @@ class Scenario:
 # Every event kind, with the fields it carries besides t and type. A field that
 # may be left out has a default, which parse_scenario fills in.
 _EVENT_FIELDS: dict[str, Fields] = {
-    kind: {"t": need_int(0, 2**53 - 1), "type": need_str(), **fields}
+    kind: {"t": need_int(0, MAX_T), "type": need_str(), **fields}
     for kind, fields in {
         "call_start": {"caller": need_str(), "safety": need_type(bool, default=False)},
         "call_end": {},
@@ -118,14 +119,16 @@ class AlertLog:
     diagnostics: list[str] = field(default_factory=list)
 
 
-_ENCODER = json.JSONEncoder(separators=(",", ":"))
+# A non-finite number raises ValueError rather than being written as NaN or
+# Infinity, which are not JSON.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
 # JSONEncoder.encode builds a new C encoder on every call; this one is built
-# once, with _ENCODER's settings (ASCII strings, keys in record order) but no
-# circular-reference check, as a record is a tree. Without the _json
-# accelerator c_make_encoder is None and _ENCODER encodes.
+# once, with _ENCODER's settings (ASCII strings, keys in record order, finite
+# numbers) but no circular-reference check, as a record is a tree. Without the
+# _json accelerator c_make_encoder is None and _ENCODER encodes.
 _C_ENCODER = json.encoder.c_make_encoder and json.encoder.c_make_encoder(
     None, _ENCODER.default, json.encoder.encode_basestring_ascii, None,
-    ":", ",", False, False, True,
+    ":", ",", False, False, False,
 )
 
 
@@ -139,49 +142,6 @@ def write_alert_log(log: AlertLog, sink: str | Path | IO[str]) -> None:
     write_text(sink, (alert_to_json(alert) + "\n" for alert in log.entries))
 
 
-_SNAPSHOT_ENTRY: Fields = {
-    "caller": need_str(),
-    "kind": need_str(("call", "message")),
-    "score": need_type(float),
-}
-
-
-def _snapshot_entries(value: Any) -> str | None:
-    if not isinstance(value, list):
-        return "must be an array"
-    for index, entry in enumerate(value):
-        problem = fields_problem(entry, _SNAPSHOT_ENTRY)
-        if problem is not None:
-            return f"item {index}: {problem}"
-    return None
-
-
-_CALLER = {"caller": need_str()}
-_PROMPT = {"prompt_id": need_str(), "callee": need_str()}
-_TRACKER = _PROMPT | {"tracking_msg_id": need_str()}
-
-# Every alert kind, with the payload fields it carries besides t, seq and kind.
-_ALERT_FIELDS: dict[str, Fields] = {
-    kind: {"t": need_int(), "seq": need_int(), "kind": need_str(), **fields}
-    for kind, fields in {
-        "ring": _CALLER,
-        "beep": _CALLER,
-        "suppress_note": _CALLER | {"count": need_int(), "ring_at": need_int()},
-        "prompt": _PROMPT | {"reason": need_str(FAILURE_REASONS)},
-        "tracker_message": _TRACKER,
-        "tracker_notify": _TRACKER,
-        "tracker_expired": _TRACKER,
-        "radiation_precall_warning": _CALLER | {"probability": need_type(float)},
-        "radiation_incall_warning": _CALLER | {"exposure_ms": need_int()},
-        "battery_action": {
-            "action": need_str({a.value for a in BatteryAction}),
-            "caller": need_str(default=ABSENT),
-            "destination": need_str(default=ABSENT),
-        },
-        "forward_to_device": {"device_id": need_str(), "alert": need_type(dict)},
-        "sorted_list_snapshot": {"entries": (_snapshot_entries, REQUIRED)},
-    }.items()
-}
 _BAD_KIND: Fields = {"kind": (lambda kind: f"names an unknown alert kind: {kind!r}", REQUIRED)}
 
 
@@ -190,7 +150,7 @@ def read_alert_log(source: str | Path | IO[str]) -> list[Alert]:
     alerts: list[Alert] = []
     for lineno, obj in read_json_lines(source, AlertLogError):
         kind = obj.get("kind")
-        fields = _ALERT_FIELDS.get(kind, _BAD_KIND) if isinstance(kind, str) else _BAD_KIND
+        fields = ALERT_FIELDS.get(kind, _BAD_KIND) if isinstance(kind, str) else _BAD_KIND
         check_fields(obj, fields, lineno, AlertLogError)
         alerts.append(Alert(obj.pop("t"), obj.pop("seq"), obj.pop("kind"), obj))
     return alerts
@@ -301,10 +261,8 @@ class Engine:
             if events[index].kind in _EPOCH_TERMINATORS:
                 return
             index += 1
-        session = self.monitor.session
-        assert session is not None
         self._emit(
-            "radiation_incall_warning", {"caller": session.caller_id, "exposure_ms": exposure}
+            "radiation_incall_warning", {"caller": self.monitor.caller_id, "exposure_ms": exposure}
         )
 
     def _fire_tracker_timeout(self) -> None:
@@ -312,10 +270,11 @@ class Engine:
 
     def _fire_attendance(self) -> None:
         alert = self.ledger.pop_due()
-        for device in matching_devices(self.kb.devices, self.ctx.current, alert.kind):
-            self._emit(
-                "forward_to_device", {"device_id": device.device_id, "alert": alert.to_record()}
-            )
+        devices = matching_devices(self.kb.devices, self.ctx.current, alert.kind)
+        if devices:
+            record = alert.to_record()  # one record, shared by every device's forward
+            for device in devices:
+                self._emit("forward_to_device", {"device_id": device.device_id, "alert": record})
 
     # -- per-event handlers, each calling its stages in the documented order --
 
@@ -341,7 +300,7 @@ class Engine:
             else:
                 self._emit("suppress_note", {"caller": caller, "count": count, "ring_at": ordinal})
         # radiation stage
-        if self.monitor.session is not None:
+        if self.monitor.caller_id is not None:
             self._note(f"call from {caller!r} while another call is active; not tracked")
         else:
             record = self.kb.safety_records.get(caller)
@@ -356,14 +315,14 @@ class Engine:
         self.tally.add(caller, "call", ev.t)
 
     def _on_call_end(self, ev: Event) -> None:
-        if self.monitor.session is None:
+        if self.monitor.caller_id is None:
             self._note("call_end with no active call")
         else:
             caller, main_ms = self.monitor.end_call(ev.t)
             self.kb.record_call(caller, is_unsafe_call(main_ms, self.config.safe_call_limit_ms))
 
     def _on_safety_mode(self, ev: Event) -> None:
-        if self.monitor.session is None:
+        if self.monitor.caller_id is None:
             self._note(f"{ev.kind} with no active call")
         else:
             self.monitor.on_safety(ev.t, entering=ev.kind == "safety_mode_enter")
@@ -444,7 +403,7 @@ class Engine:
             self._dispatch(ev)
         # A call the scenario never ended would keep producing exposure
         # warnings forever; stop tracking it, unclassified.
-        if self.monitor.session is not None:
+        if self.monitor.caller_id is not None:
             caller = self.monitor.abandon_call()
             self._note(
                 f"call from {caller!r} still active at end of scenario; exposure tracking stopped"

@@ -113,6 +113,7 @@ def write_text(sink: str | Path | IO[str], chunks: Iterable[str]) -> None:
 Fields = dict[str, tuple[Callable[[Any], Any], Any]]
 REQUIRED = object()
 ABSENT = object()
+MAX_T = 2**53 - 1  # the bound on event times and durations (ms): exact as a double
 
 
 def need_str(choices: Any = None, default: Any = REQUIRED):
@@ -238,50 +239,6 @@ class Event(NamedTuple):
     data: dict[str, Any]
 
 
-ALERT_KINDS: tuple[str, ...] = (
-    "ring",
-    "beep",
-    "suppress_note",
-    "prompt",
-    "tracker_message",
-    "tracker_notify",
-    "tracker_expired",
-    "radiation_precall_warning",
-    "radiation_incall_warning",
-    "battery_action",
-    "forward_to_device",
-    "sorted_list_snapshot",
-)
-
-# Alert kinds presented directly to the user. Only these enter the
-# attendance ledger and are eligible for forwarding to registered devices.
-USER_FACING_ALERT_KINDS = frozenset(
-    {
-        "ring",
-        "beep",
-        "tracker_notify",
-        "radiation_precall_warning",
-        "radiation_incall_warning",
-    }
-)
-
-
-class Alert(NamedTuple):
-    """One output decision. ``seq`` is unique and strictly increasing per run."""
-
-    t: int
-    seq: int
-    kind: str
-    payload: dict[str, Any]
-
-    def to_record(self) -> dict[str, Any]:
-        """Flat record in canonical key order: t, seq, kind, then sorted payload keys."""
-        record: dict[str, Any] = {"t": self.t, "seq": self.seq, "kind": self.kind}
-        for key in sorted(self.payload):
-            record[key] = self.payload[key]
-        return record
-
-
 class BatteryAction(str, Enum):
     INFORM_CALLER = "inform_caller"
     DIVERT_GROUP_A = "divert_group_a"
@@ -301,6 +258,83 @@ class BatteryActionSpec:
 
     kind: BatteryAction
     destination: str = ""
+
+
+FAILURE_REASONS = ("switched_off", "unreachable", "dropped")
+
+
+class Alert(NamedTuple):
+    """One output decision. ``seq`` is unique and strictly increasing per run."""
+
+    t: int
+    seq: int
+    kind: str
+    payload: dict[str, Any]
+
+    def to_record(self) -> dict[str, Any]:
+        """Flat record in canonical key order: t, seq, kind, then sorted payload keys."""
+        record: dict[str, Any] = {"t": self.t, "seq": self.seq, "kind": self.kind}
+        for key in sorted(self.payload):
+            record[key] = self.payload[key]
+        return record
+
+
+_SNAPSHOT_ENTRY: Fields = {
+    "caller": need_str(),
+    "kind": need_str(("call", "message")),
+    "score": need_type(float),
+}
+
+
+def _snapshot_entries(value: Any) -> str | None:
+    if not isinstance(value, list):
+        return "must be an array"
+    for index, entry in enumerate(value):
+        problem = fields_problem(entry, _SNAPSHOT_ENTRY)
+        if problem is not None:
+            return f"item {index}: {problem}"
+    return None
+
+
+_CALLER = {"caller": need_str()}
+_PROMPT = {"prompt_id": need_str(), "callee": need_str()}
+_TRACKER = _PROMPT | {"tracking_msg_id": need_str()}
+
+# Every alert kind, with the payload fields it carries besides t, seq and kind.
+ALERT_FIELDS: dict[str, Fields] = {
+    kind: {"t": need_int(), "seq": need_int(), "kind": need_str(), **fields}
+    for kind, fields in {
+        "ring": _CALLER,
+        "beep": _CALLER,
+        "suppress_note": _CALLER | {"count": need_int(), "ring_at": need_int()},
+        "prompt": _PROMPT | {"reason": need_str(FAILURE_REASONS)},
+        "tracker_message": _TRACKER,
+        "tracker_notify": _TRACKER,
+        "tracker_expired": _TRACKER,
+        "radiation_precall_warning": _CALLER | {"probability": need_type(float)},
+        "radiation_incall_warning": _CALLER | {"exposure_ms": need_int()},
+        "battery_action": {
+            "action": need_str({a.value for a in BatteryAction}),
+            "caller": need_str(default=ABSENT),
+            "destination": need_str(default=ABSENT),
+        },
+        "forward_to_device": {"device_id": need_str(), "alert": need_type(dict)},
+        "sorted_list_snapshot": {"entries": (_snapshot_entries, REQUIRED)},
+    }.items()
+}
+ALERT_KINDS = tuple(ALERT_FIELDS)
+
+# Alert kinds presented directly to the user. Only these enter the
+# attendance ledger and are eligible for forwarding to registered devices.
+USER_FACING_ALERT_KINDS = frozenset(
+    {
+        "ring",
+        "beep",
+        "tracker_notify",
+        "radiation_precall_warning",
+        "radiation_incall_warning",
+    }
+)
 
 
 def _clip(value: Any) -> str:
@@ -330,11 +364,14 @@ class AgentConfig:
                 f"< battery_rearm_pct <= 100, got {_clip(self.battery_critical_pct)} "
                 f"and {_clip(self.battery_rearm_pct)}"
             )
+        # Bounded like event times, so every deadline stays a small integer.
         for name in ("safe_call_limit_ms", "attend_window_ms", "tracker_timeout_ms"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name}: must be positive")
-        if not (math.isfinite(self.sorter_t_floor_min) and self.sorter_t_floor_min > 0):
-            raise ConfigError("sorter_t_floor_min: must be positive and finite")
+            if not 0 < getattr(self, name) <= MAX_T:
+                raise ConfigError(f"{name}: must be positive and at most 2**53 - 1")
+        # A score is at most weight 4 times a count below 2**53, over the floor.
+        floor = self.sorter_t_floor_min
+        if not (math.isfinite(floor) and floor > 0 and math.isfinite(4 * 2**53 / floor)):
+            raise ConfigError("sorter_t_floor_min: must be positive and keep every score finite")
         if not 0.0 <= self.precall_prob_threshold <= 1.0:
             raise ConfigError("precall_prob_threshold: must be within [0, 1]")
         if self.precall_min_calls < 0:

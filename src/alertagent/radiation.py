@@ -11,8 +11,6 @@ safe limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .kb import SafetyRecord
 from .model import AgentConfig
 
@@ -38,72 +36,63 @@ def is_unsafe_call(main_timer_ms: int, safe_limit_ms: int) -> bool:
     return main_timer_ms > safe_limit_ms
 
 
-@dataclass
-class CallSession:
-    caller_id: str
-    start_ms: int
-    # Start of the current exposure stretch; None exactly while in safety mode.
-    exposure_start_ms: int | None
-    warnings_in_epoch: int = 0
-
-
 class CallMonitor:
     """At most one active call; tracks its timers and pending warning point."""
 
     def __init__(self, safe_limit_ms: int):
         self.safe_limit_ms = safe_limit_ms
-        self.session: CallSession | None = None
+        self.caller_id: str | None = None  # None exactly while no call is active
+        self.start_ms = 0
+        # Start of the current exposure stretch and the instant its next warning
+        # is due; both None exactly while in safety mode or with no call.
+        self.exposure_start_ms: int | None = None
+        self.next_warning_ms: int | None = None
+
+    def _expose(self, start_ms: int | None) -> None:
+        """Begin an exposure stretch at ``start_ms``, or none (safety mode) if None."""
+        self.exposure_start_ms = start_ms
+        self.next_warning_ms = None if start_ms is None else start_ms + self.safe_limit_ms
 
     def start_call(self, t: int, caller_id: str, safety: bool) -> None:
-        self.session = CallSession(
-            caller_id=caller_id,
-            start_ms=t,
-            exposure_start_ms=None if safety else t,
-        )
+        self.caller_id = caller_id
+        self.start_ms = t
+        self._expose(None if safety else t)
 
     def on_safety(self, t: int, entering: bool) -> None:
         """Apply a safety-mode transition; repeating the current state is a no-op."""
-        session = self.session
-        if session is None or entering == (session.exposure_start_ms is None):
-            return
-        session.exposure_start_ms = None if entering else t
-        session.warnings_in_epoch = 0
+        if self.caller_id is not None and entering != (self.exposure_start_ms is None):
+            self._expose(None if entering else t)
 
     def end_call(self, t: int) -> tuple[str, int]:
         """Close the call; returns (caller id, main timer duration)."""
-        session = self.session
-        assert session is not None, "no active call"
-        self.session = None
-        return session.caller_id, t - session.start_ms
+        return self._close(), t - self.start_ms
 
     def abandon_call(self) -> str:
         """Drop the active call without classifying it (scenario ended mid-call)."""
-        session = self.session
-        assert session is not None, "no active call"
-        self.session = None
-        return session.caller_id
+        return self._close()
+
+    def _close(self) -> str:
+        caller_id = self.caller_id
+        assert caller_id is not None, "no active call"
+        self.caller_id = None
+        self._expose(None)
+        return caller_id
 
     def main_timer_ms(self, t: int) -> int:
-        assert self.session is not None, "no active call"
-        return t - self.session.start_ms
+        assert self.caller_id is not None, "no active call"
+        return t - self.start_ms
 
     def exposure_ms(self, t: int) -> int:
         """Current continuous exposure; 0 while in safety mode or with no call."""
-        session = self.session
-        if session is None or session.exposure_start_ms is None:
-            return 0
-        return t - session.exposure_start_ms
+        return 0 if self.exposure_start_ms is None else t - self.exposure_start_ms
 
     def next_warning_at(self) -> int | None:
         """Absolute time at which the next exposure warning would be due."""
-        session = self.session
-        if session is None or session.exposure_start_ms is None:
-            return None
-        return session.exposure_start_ms + (session.warnings_in_epoch + 1) * self.safe_limit_ms
+        return self.next_warning_ms
 
     def note_warning(self) -> int:
-        """Count an emitted warning; returns the exposure it was issued at."""
-        session = self.session
-        assert session is not None and session.exposure_start_ms is not None
-        session.warnings_in_epoch += 1
-        return session.warnings_in_epoch * self.safe_limit_ms
+        """Move past the warning due now; returns the exposure it was issued at."""
+        due = self.next_warning_ms
+        assert due is not None and self.exposure_start_ms is not None
+        self.next_warning_ms = due + self.safe_limit_ms
+        return due - self.exposure_start_ms

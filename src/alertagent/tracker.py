@@ -11,8 +11,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-FAILURE_REASONS = ("switched_off", "unreachable", "dropped")
-
 
 @dataclass
 class TrackerTask:

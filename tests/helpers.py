@@ -5,9 +5,12 @@ from __future__ import annotations
 import importlib.util
 import io
 import json
+from itertools import zip_longest
 from pathlib import Path
 from types import ModuleType
 from typing import Any, Iterable, NamedTuple
+
+import pytest
 
 from alertagent.engine import AlertLog, Scenario, parse_scenario, write_alert_log
 from alertagent.kb import KnowledgeBase, load_kb
@@ -57,6 +60,15 @@ def log_text(log: AlertLog) -> str:
     sink = io.StringIO()
     write_alert_log(log, sink)
     return sink.getvalue()
+
+
+def assert_same_text(actual: str, expected: str) -> None:
+    """Byte equality, reported as the first line that differs: pytest's own
+    diff of two large texts takes minutes."""
+    if actual != expected:
+        pairs = zip_longest(actual.split("\n"), expected.split("\n"))
+        line, got, want = next((n, a, e) for n, (a, e) in enumerate(pairs, 1) if a != e)
+        pytest.fail(f"line {line}: got {got!r}, expected {want!r}")
 
 
 def kinds_of(log: AlertLog) -> list[str]:

@@ -17,7 +17,7 @@ def test_fires_strictly_below_critical():
     assert guard.on_level(5) is False
     assert guard.on_level(4) is False  # 4 is not below 4
     assert guard.on_level(3) is True
-    assert guard.episode_active
+    assert not guard.armed
 
 
 def test_one_burst_per_episode_until_rearm():
@@ -28,7 +28,7 @@ def test_one_burst_per_episode_until_rearm():
     assert guard.on_level(19) is False  # below the re-arm threshold
     assert guard.on_level(2) is False
     assert guard.on_level(25) is False  # re-arms
-    assert not guard.episode_active
+    assert guard.armed
     assert guard.on_level(3) is True
 
 

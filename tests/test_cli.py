@@ -6,7 +6,7 @@ import pytest
 
 from alertagent.cli import main
 
-from helpers import contact_doc, kb_doc
+from helpers import ROOT, contact_doc, kb_doc
 
 
 @pytest.fixture
@@ -226,6 +226,55 @@ def test_scenario_time_is_bounded(workspace, capsys, t, code):
     assert main(argv) == code
     if code:
         assert "field 't' out of range" in _assert_input_error(capsys, scenario, line=2)
+
+
+def _run_with_config(tmp_path, config_text, scenario_text, kb):
+    """Exit code of ``run``; a run that exits 0 must write a log ``report`` reads."""
+    config, scenario = tmp_path / "config.json", tmp_path / "scenario.jsonl"
+    config.write_text(config_text, encoding="utf-8")
+    scenario.write_text(scenario_text, encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    code = main(["run", "--scenario", str(scenario), "--kb", str(kb), "--config", str(config),
+                 "--out", str(out)])
+    if code == 0:
+        assert main(["report", "--log", str(out)]) == 0
+    return code
+
+
+_NINES = "9" * 4300  # the longest integer Python writes as text by default
+
+
+@pytest.mark.parametrize(
+    "value, code", [(2**53 - 1, 0), (2**53, 1), (_NINES, 1)], ids=["limit", "past_limit", "nines"]
+)
+@pytest.mark.parametrize("field", ["safe_call_limit_ms", "attend_window_ms", "tracker_timeout_ms"])
+def test_config_durations_are_bounded(tmp_path, capsys, field, value, code):
+    # Unbounded, an attend_window_ms of 4300 nines put the message's forward at
+    # a t of 4301 digits, which the log writer cannot write, and run exited 2.
+    scenario = (
+        '{"t": 0, "type": "sensor", "signal_kind": "wifi_network", "signal_value": "home-net"}\n'
+        '{"t": 1, "type": "message_received", "caller": "c1"}\n'
+    )
+    config_text = '{"%s": %s}' % (field, value)
+    assert _run_with_config(tmp_path, config_text, scenario, ROOT / "sample" / "kb.json") == code
+    if code:
+        err = _assert_input_error(capsys, tmp_path / "config.json")
+        assert f"{field}: must be positive and at most 2**53 - 1" in err
+
+
+@pytest.mark.parametrize("floor, code", [("1e-290", 0), ("1e-300", 1), ("5e-324", 1)])
+def test_sorter_floor_keeps_every_score_finite(workspace, capsys, floor, code):
+    # Unbounded, a fresh item scored 1 / 5e-324: the log held "score":Infinity,
+    # which is not JSON, and report rejected the log run had written.
+    tmp_path, _scenario, kb, _config = workspace
+    scenario = (
+        '{"t": 0, "type": "message_received", "caller": "c1"}\n'
+        '{"t": 0, "type": "snapshot_request"}\n'
+    )
+    config_text = '{"sorter_t_floor_min": %s}' % floor
+    assert _run_with_config(tmp_path, config_text, scenario, kb) == code
+    if code:
+        assert "sorter_t_floor_min" in _assert_input_error(capsys, tmp_path / "config.json")
 
 
 # Lines padded with whitespace that JSON does not allow (str.strip would take it off).

@@ -21,22 +21,28 @@ def test_initial_context_is_unknown():
 
 def test_registered_signal_sets_context():
     engine = make_engine()
-    assert engine.apply_sensor("wifi_network", "home-net") is Context.HOME
+    engine.apply_sensor("wifi_network", "home-net")
+    assert engine.current is Context.HOME
 
 
 def test_unregistered_signal_changes_nothing():
     engine = make_engine()
     engine.apply_sensor("wifi_network", "home-net")
-    assert engine.apply_sensor("wifi_network", "stray-net") is Context.HOME
-    assert engine.apply_sensor("accessory", "home-net") is Context.HOME
+    engine.apply_sensor("wifi_network", "stray-net")
+    assert engine.current is Context.HOME
+    engine.apply_sensor("accessory", "home-net")
+    assert engine.current is Context.HOME
 
 
 def test_user_input_wins_and_pins():
     engine = make_engine()
     engine.apply_sensor("wifi_network", "home-net")
-    assert engine.apply_user(Context.WORKSPACE) is Context.WORKSPACE
-    assert engine.apply_sensor("wifi_network", "home-net") is Context.WORKSPACE
-    assert engine.apply_sensor("audio_device", "car-bt") is Context.WORKSPACE
+    engine.apply_user(Context.WORKSPACE)
+    assert engine.current is Context.WORKSPACE
+    engine.apply_sensor("wifi_network", "home-net")
+    assert engine.current is Context.WORKSPACE
+    engine.apply_sensor("audio_device", "car-bt")
+    assert engine.current is Context.WORKSPACE
 
 
 def test_next_user_input_replaces_the_pin():

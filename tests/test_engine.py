@@ -3,11 +3,11 @@ from __future__ import annotations
 import gc
 import io
 import json
+import math
 
 import pytest
 
 from alertagent.engine import (
-    _ALERT_FIELDS,
     AlertLog,
     Engine,
     alert_to_json,
@@ -18,7 +18,13 @@ from alertagent.engine import (
 )
 from alertagent.errors import AlertLogError, ScenarioError
 from alertagent.kb import SafetyRecord, kb_to_text
-from alertagent.model import ALERT_KINDS, AgentConfig, BatteryAction, BatteryActionSpec
+from alertagent.model import (
+    ALERT_KINDS,
+    AgentConfig,
+    Alert,
+    BatteryAction,
+    BatteryActionSpec,
+)
 from alertagent.sorter import MissedItemTally
 from alertagent.tracker import TrackerTask
 
@@ -723,8 +729,20 @@ def test_alert_to_json_is_compact_json_dumps_for_every_kind():
         assert alert_to_json(alert) == json.dumps(alert.to_record(), separators=(",", ":"))
 
 
+@pytest.mark.parametrize("score", [math.inf, -math.inf, math.nan])
+def test_alert_to_json_refuses_a_non_finite_number(score):
+    entries = [{"caller": "c1", "kind": "call", "score": score}]
+    with pytest.raises(ValueError):
+        alert_to_json(Alert(0, 1, "sorted_list_snapshot", {"entries": entries}))
+
+
 def test_alert_table_covers_every_alert_kind():
-    assert set(_ALERT_FIELDS) == set(ALERT_KINDS)
+    # Seeded tests draw samples from ALERT_KINDS, so its order is part of them.
+    assert ALERT_KINDS == (
+        "ring", "beep", "suppress_note", "prompt", "tracker_message", "tracker_notify",
+        "tracker_expired", "radiation_precall_warning", "radiation_incall_warning",
+        "battery_action", "forward_to_device", "sorted_list_snapshot",
+    )
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,8 @@ config, one scenario line, or one line of the log the example produces). It
 replaces one value anywhere in it with one from a small pool, deletes a key,
 or adds one, and then runs the CLI on the result: ``run`` for the three
 inputs of a run, ``report`` for the log. The exit code must be 0 or 1, and
-nothing may print ``internal error`` or a traceback.
+nothing may print ``internal error`` or a traceback. A ``run`` that exits 0
+must write a log that ``report`` reads with exit 0.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ TRIALS = 600
 
 # Values of every JSON type, edge cases of each, and names the inputs use.
 POOL: list[Any] = [
-    None, True, False, 0, 1, -1, 101, 2**63, 0.5, -2.5, "", "x",
+    None, True, False, 0, 1, -1, 101, 2**63, int("9" * 4300), 0.5, -2.5, 5e-324, "", "x",
     [], ["x"], [1], [[]], {}, {"a": 1}, {"caller": "x"},
     "A", "E", "Home", "Moon", "ring", "call", "message", "yes", "dropped",
     "inform_caller", "send_status_sms", "wifi_network", "call_start", "snapshot_request",
@@ -100,4 +101,9 @@ def test_mutated_inputs_exit_0_or_1(tmp_path, capsys):
         err = capsys.readouterr().err
         if code not in (0, 1) or "internal error" in err or "Traceback" in err:
             failures.append(f"trial {trial} ({target}): exit {code}: {err.strip()}")
+        elif code == 0 and target != "log":
+            code = main(["report", "--log", str(tmp_path / "out.jsonl")])
+            if code != 0:
+                err = capsys.readouterr().err.strip()
+                failures.append(f"trial {trial} ({target}): report on its log: exit {code}: {err}")
     assert not failures, f"{len(failures)} of {TRIALS} trials failed; first: {failures[:3]}"

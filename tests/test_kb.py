@@ -13,7 +13,7 @@ from alertagent.forwarder import DeviceRegistration
 from alertagent.kb import KnowledgeBase, SafetyRecord, kb_from_dict, kb_to_text, load_kb, save_kb
 from alertagent.model import ALERT_KINDS, Contact, Group
 
-from helpers import contact_doc, kb_doc, load_bench_gen, load_kb_doc
+from helpers import assert_same_text, contact_doc, kb_doc, load_bench_gen, load_kb_doc
 
 
 def test_empty_document_loads_empty_kb():
@@ -193,12 +193,7 @@ def _plain(kb: KnowledgeBase) -> dict:
 
 
 def assert_json_dumps_layout(kb: KnowledgeBase) -> None:
-    text = kb_to_text(kb)
-    expected = json.dumps(_plain(kb), sort_keys=True, indent=2) + "\n"
-    if text != expected:  # name one line: pytest's full diff of a large KB takes minutes
-        pairs = zip(text.split("\n"), expected.split("\n"))
-        line, got, want = next((n, a, b) for n, (a, b) in enumerate(pairs, 1) if a != b)
-        pytest.fail(f"line {line}: kb_to_text wrote {got!r}, json.dumps {want!r}")
+    assert_same_text(kb_to_text(kb), json.dumps(_plain(kb), sort_keys=True, indent=2) + "\n")
 
 
 @pytest.mark.parametrize("workload", ["busy_day", "callback_snapshots", "unreachable_callees"])

@@ -19,7 +19,7 @@ from alertagent.context import SENSOR_SIGNAL_KINDS, signal_key
 from alertagent.engine import AlertLog, parse_scenario, read_alert_log, run_scenario
 from alertagent.kb import kb_from_dict, kb_to_text, load_kb
 
-from helpers import ROOT, load_bench_gen, log_text
+from helpers import ROOT, assert_same_text, load_bench_gen, log_text
 
 CASES = ("sample", "busy_day", "callback_snapshots", "unreachable_callees")
 
@@ -41,19 +41,10 @@ def _log(inputs: Path, scenario_text: str) -> str:
     return log_text(log)
 
 
-def _assert_same_log(actual: str, expected: str) -> None:
-    """Byte equality, reported as the first differing line: pytest's own diff
-    of two multi-megabyte strings takes minutes."""
-    pairs = enumerate(zip(actual.splitlines(), expected.splitlines()), start=1)
-    first = next((lineno for lineno, (a, e) in pairs if a != e), None)
-    assert first is None, f"logs differ first at line {first}"
-    assert len(actual) == len(expected), "one log is a prefix of the other"
-
-
 def test_log_read_back_and_rewritten_is_byte_identical(inputs):
     text = _log(inputs, (inputs / "scenario.jsonl").read_text(encoding="utf-8"))
     assert text
-    _assert_same_log(log_text(AlertLog(entries=read_alert_log(io.StringIO(text)))), text)
+    assert_same_text(log_text(AlertLog(entries=read_alert_log(io.StringIO(text)))), text)
 
 
 def test_unregistered_sensor_events_leave_the_log_unchanged(inputs):
@@ -71,7 +62,7 @@ def test_unregistered_sensor_events_leave_the_log_unchanged(inputs):
                                      "signal_value": value}))
     original = _log(inputs, "\n".join(lines) + "\n")
     assert original
-    _assert_same_log(_log(inputs, "\n".join(noisy) + "\n"), original)
+    assert_same_text(_log(inputs, "\n".join(noisy) + "\n"), original)
 
 
 PREFIX = "renamed/"  # a fixed prefix keeps the order of ids, on which sorter ties break
@@ -114,6 +105,8 @@ def test_renaming_callers_renames_the_log_and_kb_out_and_nothing_else(inputs):
         kb_from_dict(_rename_kb(kb_doc)),
     )
     assert log.entries
-    _assert_same_log(log_text(renamed_log), _rename_lines(log_text(log)))
+    assert_same_text(log_text(renamed_log), _rename_lines(log_text(log)))
     expected = _rename_kb(json.loads(kb_to_text(kb_out)))
-    assert kb_to_text(renamed_kb_out) == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+    assert_same_text(
+        kb_to_text(renamed_kb_out), json.dumps(expected, sort_keys=True, indent=2) + "\n"
+    )

@@ -66,6 +66,10 @@ def test_config_rejects_inverted_battery_thresholds():
         {"precall_min_calls": -1},
         {"sorter_t_floor_min": math.nan},
         {"sorter_t_floor_min": math.inf},
+        {"sorter_t_floor_min": 5e-324},
+        {"safe_call_limit_ms": 2**53},
+        {"attend_window_ms": 2**53},
+        {"tracker_timeout_ms": 2**53},
     ],
 )
 def test_config_rejects_bad_values(kwargs):

@@ -104,7 +104,7 @@ def simulate(initial_safety, transitions, end_t, limit=LIMIT):
         else:
             caller, main_ms = monitor.end_call(when)
             assert caller == "c1" and main_ms == when
-        if monitor.session is not None:
+        if monitor.caller_id is not None:
             assert monitor.exposure_ms(when) <= monitor.main_timer_ms(when)
     return warn_times
 
