@@ -11,6 +11,7 @@ from .model import (
     AgentConfig,
     BatteryAction,
     BatteryActionSpec,
+    Fields,
     check_fields,
     need_int,
     need_str,
@@ -22,7 +23,7 @@ _INT = need_int(default=ABSENT)
 _NUMBER = need_type(float, default=ABSENT)  # read as a float, even when written as 1
 
 # Types only: AgentConfig holds the defaults and AgentConfig.validate the ranges.
-_CONFIG = {
+_CONFIG = Fields({
     "battery_critical_pct": _INT,
     "battery_rearm_pct": _INT,
     "safe_call_limit_ms": _INT,
@@ -32,9 +33,9 @@ _CONFIG = {
     "tracker_timeout_ms": _INT,
     "sorter_t_floor_min": _NUMBER,
     "battery_actions": need_type(list, default=ABSENT),
-}
+})
 _ACTIONS = {a.value: a for a in BatteryAction}
-_ACTION = {"kind": need_str(_ACTIONS), "destination": need_type(str, default=ABSENT)}
+_ACTION = Fields({"kind": need_str(_ACTIONS), "destination": need_type(str, default=ABSENT)})
 
 
 def config_from_dict(doc: Any) -> AgentConfig:

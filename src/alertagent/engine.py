@@ -16,8 +16,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import IO, Any
+from typing import IO, Any, Iterator
 
 from .battery import BatteryGuard
 from .context import SENSOR_SIGNAL_KINDS, Context, ContextEngine
@@ -60,7 +61,7 @@ class Scenario:
 # Every event kind, with the fields it carries besides t and type. A field that
 # may be left out has a default, which parse_scenario fills in.
 _EVENT_FIELDS: dict[str, Fields] = {
-    kind: {"t": need_int(0, MAX_T), "type": need_str(), **fields}
+    kind: Fields({"t": need_int(0, MAX_T), "type": need_str(), **fields})
     for kind, fields in {
         "call_start": {"caller": need_str(), "safety": need_type(bool, default=False)},
         "call_end": {},
@@ -79,7 +80,7 @@ _EVENT_FIELDS: dict[str, Fields] = {
     }.items()
 }
 # The table for a line whose type is missing or names no event kind.
-_BAD_TYPE: Fields = {"type": (lambda kind: f"names an unknown event type: {kind!r}", REQUIRED)}
+_BAD_TYPE = Fields({"type": (lambda kind: f"names an unknown event type: {kind!r}", REQUIRED)})
 
 
 def parse_scenario(source: str | Path | IO[str], name: str = "scenario") -> Scenario:
@@ -101,9 +102,8 @@ def parse_scenario(source: str | Path | IO[str], name: str = "scenario") -> Scen
             )
         prev_t = t
         if len(obj) < len(fields):
-            for field_name, (_check, default) in fields.items():
-                if field_name not in obj:
-                    obj[field_name] = default
+            for field_name, default in fields.defaults:
+                obj.setdefault(field_name, default)
         del obj["t"], obj["type"]
         events.append(Event(t, lineno, kind, obj))
     return Scenario(name=name, events=events)
@@ -127,22 +127,55 @@ _ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
 # numbers) but no circular-reference check, as a record is a tree. Without the
 # _json accelerator c_make_encoder is None and _ENCODER encodes.
 _C_ENCODER = json.encoder.c_make_encoder and json.encoder.c_make_encoder(
-    None, _ENCODER.default, json.encoder.encode_basestring_ascii, None,
+    None, _ENCODER.default, encode_basestring_ascii, None,
     ":", ",", False, False, False,
 )
 
 
+def _encode(value: Any) -> str:
+    return "".join(_C_ENCODER(value, 0)) if _C_ENCODER else _ENCODER.encode(value)
+
+
+def _forward_line(alert: Alert, forwarded: str) -> str:
+    """A forward's line around ``forwarded``, the text of the alert record it carries.
+
+    A forward's payload is exactly its device_id and alert (``ALERT_FIELDS``), so
+    its record's keys are t, seq, kind, alert, device_id, in that order.
+    """
+    device = encode_basestring_ascii(alert.payload["device_id"])
+    return (
+        f'{{"t":{alert.t},"seq":{alert.seq},"kind":"forward_to_device",'
+        f'"alert":{forwarded},"device_id":{device}}}'
+    )
+
+
 def alert_to_json(alert: Alert) -> str:
-    record = alert.to_record()
-    return "".join(_C_ENCODER(record, 0)) if _C_ENCODER else _ENCODER.encode(record)
+    """One log line, without its newline: ``json.dumps(alert.to_record())``, compact."""
+    if alert.kind == "forward_to_device":
+        return _forward_line(alert, _encode(alert.payload["alert"]))
+    return _encode(alert.to_record())
+
+
+def _log_lines(entries: list[Alert]) -> Iterator[str]:
+    """Each alert's line, as ``alert_to_json`` gives it. The forwards of one due
+    alert share one record object, so its text is encoded once for all of them."""
+    record = text = None
+    for alert in entries:
+        if alert.kind != "forward_to_device":
+            yield _encode(alert.to_record()) + "\n"
+        else:
+            if alert.payload["alert"] is not record:
+                record = alert.payload["alert"]
+                text = _encode(record)
+            yield _forward_line(alert, text) + "\n"
 
 
 def write_alert_log(log: AlertLog, sink: str | Path | IO[str]) -> None:
     """Write the log one line per alert, each straight to the sink."""
-    write_text(sink, (alert_to_json(alert) + "\n" for alert in log.entries))
+    write_text(sink, _log_lines(log.entries))
 
 
-_BAD_KIND: Fields = {"kind": (lambda kind: f"names an unknown alert kind: {kind!r}", REQUIRED)}
+_BAD_KIND = Fields({"kind": (lambda kind: f"names an unknown alert kind: {kind!r}", REQUIRED)})
 
 
 def read_alert_log(source: str | Path | IO[str]) -> list[Alert]:

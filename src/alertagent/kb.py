@@ -26,8 +26,10 @@ from .errors import KnowledgeBaseError
 from .forwarder import DeviceRegistration
 from .model import (
     ALERT_KINDS,
+    MAX_T,
     REQUIRED,
     Contact,
+    Fields,
     Group,
     check_fields,
     need_choices,
@@ -53,26 +55,26 @@ def _signal_map(value: Any) -> str | None:
 
 
 # Per-field types and choices. The rules that span fields or objects (ids
-# non-empty, device ids unique, counts nonnegative, unsafe <= total) are in
+# non-empty, device ids unique, counts within [0, MAX_T], unsafe <= total) are in
 # KnowledgeBase.validate, which knowledge bases built in code go through too.
-_TOP = {
+_TOP = Fields({
     "contacts": need_type(list),
     "context_signals": (_signal_map, REQUIRED),
     "devices": need_type(list),
     "safety_records": need_type(dict),
-}
-_CONTACT = {
+})
+_CONTACT = Fields({
     "id": need_type(str),
     "name": need_type(str),
     "group": need_str(_GROUPS),
     "temp_important": need_type(bool),
-}
-_DEVICE = {
+})
+_DEVICE = Fields({
     "device_id": need_type(str),
     "contexts": need_choices(_CONTEXTS),
     "kinds": need_choices(ALERT_KINDS),
-}
-_RECORD = {"total": need_int(), "unsafe": need_int()}
+})
+_RECORD = Fields({"total": need_int(), "unsafe": need_int()})
 
 
 @dataclass
@@ -85,6 +87,11 @@ class SafetyRecord:
     def validate(self, caller_id: str) -> None:
         if self.total_calls < 0 or self.unsafe_calls < 0:
             raise KnowledgeBaseError(f"safety_records[{caller_id!r}]: counts must be nonnegative")
+        for name, count in (("total", self.total_calls), ("unsafe", self.unsafe_calls)):
+            if count > MAX_T:
+                raise KnowledgeBaseError(
+                    f"safety_records[{caller_id!r}]: {name} must be at most 2**53 - 1"
+                )
         if self.unsafe_calls > self.total_calls:
             raise KnowledgeBaseError(
                 f"safety_records[{caller_id!r}]: unsafe ({self.unsafe_calls}) "
@@ -109,14 +116,18 @@ class KnowledgeBase:
         return contact.temp_important if contact is not None else False
 
     def record_call(self, caller_id: str, unsafe: bool) -> SafetyRecord:
-        """Count one finished call; creates the caller's record on first use."""
+        """Count one finished call; creates the caller's record on first use.
+
+        A count stops at MAX_T, the bound a loaded record is held to, so a saved
+        knowledge base always loads again, and unsafe stays at most total.
+        """
         record = self.safety_records.get(caller_id)
         if record is None:
             record = SafetyRecord()
             self.safety_records[caller_id] = record
-        record.total_calls += 1
+        record.total_calls = min(record.total_calls + 1, MAX_T)
         if unsafe:
-            record.unsafe_calls += 1
+            record.unsafe_calls = min(record.unsafe_calls + 1, MAX_T)
         return record
 
     def copy(self) -> KnowledgeBase:

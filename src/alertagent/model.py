@@ -8,7 +8,9 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from json.scanner import py_make_scanner
 from pathlib import Path
+from types import SimpleNamespace
 from typing import IO, Any, Callable, Iterable, Iterator, NamedTuple
 
 from .errors import ConfigError, InputError
@@ -36,6 +38,10 @@ def _finite_float(text: str) -> float:
 _DECODER = json.JSONDecoder(
     object_pairs_hook=_unique_keys, parse_constant=_finite_float, parse_float=_finite_float
 )
+# The same decoder without the duplicate-key hook, which makes json's C scanner
+# build a list of pairs and call back into Python for every object. Only
+# read_json_lines uses it, and only where no key can repeat (see there).
+_SCAN_LINE = json.JSONDecoder(parse_constant=_finite_float, parse_float=_finite_float).scan_once
 
 
 def _read_text(source: str | Path | IO[str], error: type[InputError]) -> str:
@@ -68,9 +74,43 @@ def _decode(text: str, error: type[InputError], line: int | None = None) -> Any:
             where = f"line {exc.lineno}, column {exc.colno}: "
         raise error(f"{where}invalid JSON: {exc.msg}") from exc
     except ValueError as exc:
-        raise error(f"{where}invalid JSON: {exc}") from exc
+        raise error(f"{where or _fault_where(text, str(exc))}invalid JSON: {exc}") from exc
     except RecursionError:
-        raise error(f"{where}invalid JSON: nested too deeply") from None
+        raise error(f"{where or _fault_where(text, None)}invalid JSON: nested too deeply") from None
+
+
+def _fault_where(text: str, message: str | None) -> str:
+    """The "line N: " for a fault that json's C decode names without a place:
+    ``message``, or too deep a nesting when None.
+
+    A pure-Python scan of ``text`` records where each object and array opens;
+    N is the line of the innermost one still open when that scan meets the
+    same fault. "" when it meets another.
+    """
+    opened: list[int] = []
+
+    def tracked(parse: Callable[..., Any]) -> Callable[..., Any]:
+        def parse_open(s_and_end: tuple[str, int], *args: Any) -> Any:
+            opened.append(s_and_end[1] - 1)
+            value = parse(s_and_end, *args)
+            opened.pop()
+            return value
+
+        return parse_open
+
+    scan = py_make_scanner(SimpleNamespace(**{
+        **vars(_DECODER), "memo": {},
+        "parse_object": tracked(_DECODER.parse_object),
+        "parse_array": tracked(_DECODER.parse_array),
+    }))
+    try:
+        scan(text, len(text) - len(text.lstrip(" \t\n\r")))
+    except (ValueError, RecursionError) as exc:
+        met = None if isinstance(exc, RecursionError) else str(exc)
+        if met == message and opened:
+            line = text.count("\n", 0, opened[-1]) + 1
+            return f"line {line}: "
+    return ""
 
 
 def read_json(source: str | Path | IO[str], error: type[InputError]) -> Any:
@@ -87,13 +127,24 @@ def read_json_lines(
     a string), and only JSON's own whitespace around a line is stripped
     (str.strip also strips U+00A0 and the like). Each line is decoded like
     ``read_json`` and must hold an object.
+
+    Each key in the text is followed by a colon outside any string. So a line
+    with as many colons as its object has keys repeats no key and has no key
+    in a nested object: the hook-free scan decodes it as ``_decode`` would.
+    Any other line, or one that scan fails on, is decoded again by
+    ``_decode``, which gives the same value or names the fault.
     """
     for lineno, raw in enumerate(_read_text(source, error).split("\n"), start=1):
         line = raw.strip(" \t\r")
         if line:
-            obj = _decode(line, error, lineno)
-            if not isinstance(obj, dict):
-                raise error(f"line {lineno}: expected a JSON object")
+            try:
+                obj, end = _SCAN_LINE(line, 0)
+            except (StopIteration, ValueError, RecursionError):
+                obj = end = None
+            if not (isinstance(obj, dict) and end == len(line) and line.count(":") == len(obj)):
+                obj = _decode(line, error, lineno)
+                if not isinstance(obj, dict):
+                    raise error(f"line {lineno}: expected a JSON object")
             yield lineno, obj
 
 
@@ -106,11 +157,8 @@ def write_text(sink: str | Path | IO[str], chunks: Iterable[str]) -> None:
         sink.writelines(chunks)
 
 
-# A field table maps each field an object may hold to (check, default). A check
-# returns what is wrong with a value, or None. A field whose default is
-# REQUIRED must be given; any other may be left out, and ABSENT means it has no
-# default value. Only parse_scenario fills in defaults; check_fields never does.
-Fields = dict[str, tuple[Callable[[Any], Any], Any]]
+# Defaults in a field table (see Fields): REQUIRED fields must be given, and an
+# ABSENT field may be left out and has no default value.
 REQUIRED = object()
 ABSENT = object()
 MAX_T = 2**53 - 1  # the bound on event times and durations (ms): exact as a double
@@ -176,8 +224,28 @@ def need_type(kind: type, default: Any = REQUIRED):
     return check, default
 
 
+class Fields(dict):
+    """A field table: maps each field an object may hold to (check, default).
+
+    A check returns what is wrong with a value, or None. A field whose default
+    is REQUIRED must be given; any other may be left out, and ABSENT means it
+    has no default value. Only parse_scenario fills in defaults; check_fields
+    never does. A table is compiled once, when it is made, into the parts
+    those two read, and is not changed afterwards.
+    """
+
+    def __init__(self, fields: dict[str, tuple[Callable[[Any], Any], Any]]) -> None:
+        super().__init__(fields)
+        self.checks = {name: check for name, (check, _) in self.items()}
+        self.required = frozenset(name for name, (_, dflt) in self.items() if dflt is REQUIRED)
+        self.defaults = tuple(
+            (name, dflt) for name, (_, dflt) in self.items() if dflt not in (REQUIRED, ABSENT)
+        )
+
+
 def fields_problem(obj: Any, fields: Fields) -> str | None:
-    """What is wrong with ``obj`` against a field table, or None."""
+    """What is wrong with ``obj`` against a field table, or None. Walks the table,
+    so the problem named is the first one in table order."""
     if not isinstance(obj, dict):
         return "expected an object"
     known = 0
@@ -195,10 +263,23 @@ def fields_problem(obj: Any, fields: Fields) -> str | None:
 
 
 def check_fields(obj: Any, fields: Fields, where: str | int, error: type[InputError]) -> None:
-    """Raise ``error`` at ``where``, a line number or a path, if ``obj`` breaks ``fields``."""
+    """Raise ``error`` at ``where``, a line number or a path, if ``obj`` breaks ``fields``.
+
+    The same predicate as ``fields_problem``, on the compiled table: every key
+    known and its value passing its check, and every required field there (as
+    it is when the object holds every field). Only a fault walks the table.
+    """
+    if isinstance(obj, dict):
+        checks = fields.checks
+        for name, value in obj.items():
+            check = checks.get(name)
+            if check is None or check(value) is not None:
+                break
+        else:
+            if len(obj) == len(checks) or obj.keys() >= fields.required:
+                return
     problem = fields_problem(obj, fields)
-    if problem is not None:
-        raise error(f"{f'line {where}' if isinstance(where, int) else where}: {problem}")
+    raise error(f"{f'line {where}' if isinstance(where, int) else where}: {problem}")
 
 
 class Group(str, Enum):
@@ -279,11 +360,11 @@ class Alert(NamedTuple):
         return record
 
 
-_SNAPSHOT_ENTRY: Fields = {
+_SNAPSHOT_ENTRY = Fields({
     "caller": need_str(),
     "kind": need_str(("call", "message")),
     "score": need_type(float),
-}
+})
 
 
 def _snapshot_entries(value: Any) -> str | None:
@@ -302,7 +383,7 @@ _TRACKER = _PROMPT | {"tracking_msg_id": need_str()}
 
 # Every alert kind, with the payload fields it carries besides t, seq and kind.
 ALERT_FIELDS: dict[str, Fields] = {
-    kind: {"t": need_int(), "seq": need_int(), "kind": need_str(), **fields}
+    kind: Fields({"t": need_int(), "seq": need_int(), "kind": need_str(), **fields})
     for kind, fields in {
         "ring": _CALLER,
         "beep": _CALLER,

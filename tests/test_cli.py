@@ -5,6 +5,7 @@ import json
 import pytest
 
 from alertagent.cli import main
+from alertagent.kb import load_kb
 
 from helpers import ROOT, contact_doc, kb_doc
 
@@ -262,6 +263,52 @@ def test_config_durations_are_bounded(tmp_path, capsys, field, value, code):
         assert f"{field}: must be positive and at most 2**53 - 1" in err
 
 
+@pytest.mark.parametrize(
+    "record, field",
+    [(f'"total": {_NINES}, "unsafe": 0', "total"), (f'"total": 5, "unsafe": {2**53}', "unsafe")],
+    ids=["total_nines", "unsafe_past_limit"],
+)
+def test_safety_record_counts_are_bounded(workspace, capsys, record, field):
+    # Unbounded, a total of 4300 nines loaded, one more call made it 4301
+    # digits, and run exited 2 writing the KB.
+    tmp_path, _scenario, _kb, _config = workspace
+    kb = tmp_path / "big.json"
+    kb.write_text(
+        '{"contacts": [], "context_signals": {}, "devices": [], "safety_records": {"c1": {%s}}}'
+        % record,
+        encoding="utf-8",
+    )
+    scenario = tmp_path / "call.jsonl"
+    scenario.write_text(
+        '{"t": 0, "type": "call_start", "caller": "c1"}\n{"t": 1, "type": "call_end"}\n',
+        encoding="utf-8",
+    )
+    argv = ["run", "--scenario", str(scenario), "--kb", str(kb), "--out", str(tmp_path / "o"),
+            "--kb-out", str(tmp_path / "kb-out.json")]
+    assert main(argv) == 1
+    assert f"{field} must be at most 2**53 - 1" in _assert_input_error(capsys, kb)
+
+
+def test_safety_record_counts_stop_at_the_limit(workspace):
+    tmp_path, _scenario, _kb, _config = workspace
+    limit = 2**53 - 1
+    kb, kb_out = tmp_path / "full.json", tmp_path / "kb-out.json"
+    kb.write_text(json.dumps(kb_doc(safety={"c1": {"total": limit, "unsafe": limit - 1}})),
+                  encoding="utf-8")
+    scenario = tmp_path / "call.jsonl"
+    scenario.write_text(
+        '{"t": 0, "type": "call_start", "caller": "c1"}\n'
+        '{"t": 400000, "type": "call_end"}\n',
+        encoding="utf-8",
+    )
+    argv = ["run", "--scenario", str(scenario), "--kb", str(kb), "--out", str(tmp_path / "o"),
+            "--kb-out", str(kb_out)]
+    assert main(argv) == 0
+    assert main(["validate", "--kb", str(kb_out)]) == 0
+    record = load_kb(kb_out).safety_records["c1"]
+    assert (record.total_calls, record.unsafe_calls) == (limit, limit)
+
+
 @pytest.mark.parametrize("floor, code", [("1e-290", 0), ("1e-300", 1), ("5e-324", 1)])
 def test_sorter_floor_keeps_every_score_finite(workspace, capsys, floor, code):
     # Unbounded, a fresh item scored 1 / 5e-324: the log held "score":Infinity,
@@ -330,6 +377,31 @@ def test_duplicate_key_is_code_1(tmp_path, capsys, option, text, key, line):
     path.write_text(text, encoding="utf-8")
     assert main(["validate", option, str(path)]) == 1
     assert f"duplicate key {key!r}" in _assert_input_error(capsys, path, line)
+
+
+# A KB and a config, each with a fault on line 5 that json's C decode names
+# without a place; the line named is where the innermost open object or array
+# starts.
+_KB_FAULT = '{\n"contacts": [],\n"context_signals": {},\n"devices": [],\n"safety_records": {"c1": %s}}'
+_CONFIG_FAULT = '{\n"attend_window_ms": 1,\n\n\n"battery_actions": [%s]}'
+_FAULTS = {
+    "duplicate_key": ('{"total": 1, "unsafe": 0, "total": 2}', "duplicate key 'total'"),
+    "nan": ('{"total": NaN, "unsafe": 0}', "NaN is not a finite number"),
+    "1e999": ('{"total": 1e999, "unsafe": 0}', "1e999 is not a finite number"),
+    "nesting": ("[" * 100_000 + "]" * 100_000, "nested too deeply"),
+}
+
+
+@pytest.mark.parametrize("fault", _FAULTS)
+@pytest.mark.parametrize(
+    "option, layout", [("--kb", _KB_FAULT), ("--config", _CONFIG_FAULT)], ids=["kb", "config"]
+)
+def test_whole_document_fault_names_its_line(tmp_path, capsys, option, layout, fault):
+    value, message = _FAULTS[fault]
+    path = tmp_path / "input.json"
+    path.write_text(layout % value, encoding="utf-8")
+    assert main(["validate", option, str(path)]) == 1
+    assert f"line 5: invalid JSON: {message}" in _assert_input_error(capsys, path, line=5)
 
 
 _NOT_UTF8 = b'\n{"caller": "caf\xe9"}\n'

@@ -695,6 +695,42 @@ def test_rewriting_a_read_log_sorts_top_level_keys_and_keeps_nested_ones():
     )
 
 
+def test_forwards_of_one_due_alert_are_each_compact_json_dumps():
+    doc = kb_doc(
+        devices=[
+            {"device_id": device, "contexts": ["Home"], "kinds": ["beep"]}
+            for device in ("tv", "laptop", "d\U0001f4f1 \"q\"")
+        ]
+    )
+    lines = [
+        {"t": 0, "type": "user_context", "context": "Home"},
+        {"t": 1000, "type": "message_received", "caller": "Zo\u00e9"},
+        {"t": 2000, "type": "message_received", "caller": "c2"},
+    ]
+    log, _ = run(lines, doc)
+    forwards = [a for a in log.entries if a.kind == "forward_to_device"]
+    assert len(forwards) == 6
+    assert forwards[0].payload["alert"] is forwards[2].payload["alert"]
+    assert forwards[2].payload["alert"] is not forwards[3].payload["alert"]
+    assert log_text(log).splitlines() == [
+        json.dumps(alert.to_record(), separators=(",", ":")) for alert in log.entries
+    ]
+
+
+def test_rewriting_forwards_keeps_each_nested_key_order():
+    text = (
+        '{"t":60000,"seq":3,"kind":"forward_to_device",'
+        '"alert":{"t":0,"seq":1,"kind":"ring","caller":"c1"},"device_id":"tv"}\n'
+        '{"t":60000,"seq":4,"kind":"forward_to_device",'
+        '"alert":{"caller":"c1","kind":"ring","seq":1,"t":0},"device_id":"laptop"}\n'
+    )
+    alerts = read_alert_log(io.StringIO(text))
+    assert alerts[0].payload["alert"] == alerts[1].payload["alert"]
+    out = io.StringIO()
+    write_alert_log(AlertLog(entries=alerts), out)
+    assert out.getvalue() == text
+
+
 # One line of every alert kind as a read-back log may hold it: keys out of
 # order in a nested alert, integer and float scores, non-ASCII and astral callers.
 _EVERY_KIND_LOG = (

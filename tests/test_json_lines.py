@@ -1,0 +1,118 @@
+"""Differential check of the JSON-lines reader against the strict decoder.
+
+``read_json_lines`` decodes a line without the duplicate-key hook when the
+line's colons prove that no key can repeat, and otherwise hands the line to
+``_decode``. Line by line, it must give the value ``_decode`` gives, with its
+key order and number types, or raise the error text ``_decode`` raises.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import random
+
+import pytest
+
+from alertagent.errors import InputError
+from alertagent.model import _decode, read_json_lines
+
+_KEYS = ['"t"', '"type"', '"a:b"', '":"', '"\\u003a"', '"c\\u003ad"', '"q\\""', '"caller"']
+_ATOMS = [
+    "0", "-7", "2.5", "1e3", "true", "false", "null", '""', '"x"', '"a:b"', '"::"',
+    '"\\u003a"', '"e\\u003a\\u003a"', '"\\\\:"', "{}", "[]", "[[]]", "[{}]", "{ }", "[1, 2]",
+    "NaN", "Infinity", "-Infinity", "1e999", "-1e999", "9" * 4300, "9" * 4301,
+]
+_SPACES = ["", "", " ", "\t"]
+
+
+def _value(rng: random.Random, depth: int) -> str:
+    roll = rng.random()
+    if depth < 4 and roll < 0.25:
+        return _object(rng, depth + 1)
+    if depth < 4 and roll < 0.35:
+        items = [_value(rng, depth + 1) for _ in range(rng.randrange(3))]
+        return "[" + ",".join(items) + "]"
+    return rng.choice(_ATOMS)
+
+
+def _object(rng: random.Random, depth: int) -> str:
+    # Keys come from a small pool, so they often repeat, at every depth.
+    pairs = [
+        f"{rng.choice(_KEYS)}{rng.choice(_SPACES)}:{rng.choice(_SPACES)}{_value(rng, depth)}"
+        for _ in range(rng.randrange(5))
+    ]
+    return "{" + ("," + rng.choice(_SPACES)).join(pairs) + "}"
+
+
+# Hand-picked lines for each kind of fault and each way a colon can appear.
+_CASES = [
+    '{"t":0,"t":1}',  # a duplicate key at depth 0
+    '{"a":{"b":1,"b":2}}',  # at depth 1
+    '{"a":[{"b":{"c":1,"c":2}}]}',  # at depth 2
+    '{"a":{"b":1},"c":{"b":2}}',  # equal keys in different objects
+    '{"a:b":1}', '{"a":"b:c"}', '{"a\\u003ab":"c\\u003ad","e":1}', '{"\\u003a":1,":":2}',
+    '{"a":{},"b":[],"c":[{},[]]}', '{"a":[{}],"b":{"c":[]}}',
+    '{"t":NaN}', '{"t":1e999}', '{"t":-Infinity}', '{"t":%s}' % ("9" * 4301),
+    '{"t":0} x', "{}{}", '{"t":0}{"t":1}', '{"t":0', "[1]", '"s"', "5", "null", "x", ":",
+    "[" * 100_000 + "]" * 100_000, '{"a":' * 100_000 + "1" + "}" * 100_000,
+    "{}", '{"t":0,"type":"call_end"}', ' {"t" : 0}\t', '{"t":"\\ud800"}',
+]
+
+
+def _strict(line: str) -> tuple[str, object]:
+    """What ``_decode`` makes of one line, as the reader reports it."""
+    try:
+        obj = _decode(line.strip(" \t\r"), InputError, 1)
+    except InputError as exc:
+        return "error", str(exc)
+    if not isinstance(obj, dict):
+        return "error", "line 1: expected a JSON object"
+    return "value", repr(obj)  # repr keeps key order and number types
+
+
+def _fast(line: str) -> tuple[str, object]:
+    try:
+        ((lineno, obj),) = read_json_lines(io.StringIO(line), InputError)
+    except InputError as exc:
+        return "error", str(exc)
+    assert lineno == 1
+    return "value", repr(obj)
+
+
+def _seeded_lines(seed: int, count: int) -> list[str]:
+    rng = random.Random(seed)
+    lines = []
+    for _ in range(count):
+        line = _object(rng, 0)
+        if rng.random() < 0.1:
+            line = rng.choice(["", " ", "x", "{}", "}", ',"t":0}']) + line
+        lines.append(rng.choice(_SPACES) + line + rng.choice(["", " ", "\r"]))
+    return lines
+
+
+@pytest.mark.parametrize("line", _CASES, ids=range(len(_CASES)))
+def test_reader_matches_strict_decode_on_each_case(line):
+    assert _fast(line) == _strict(line)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_reader_matches_strict_decode_on_seeded_lines(seed):
+    outcomes = {"value": 0, "error": 0}
+    for line in _seeded_lines(seed, 600):
+        fast = _fast(line)
+        assert fast == _strict(line), line
+        outcomes[fast[0]] += 1
+    assert min(outcomes.values()) > 50  # both outcomes are well covered
+
+
+def test_seeded_lines_reach_both_decoders():
+    # Guards the generator: many lines pass the colon test, and many repeat a key.
+    lines = [line.strip(" \t\r") for line in _seeded_lines(0, 600)]
+    outcomes = [_strict(line) for line in lines]
+    colon_proof = sum(
+        1 for line, (kind, _) in zip(lines, outcomes)
+        if kind == "value" and line.count(":") == len(json.loads(line))
+    )
+    duplicates = sum(1 for kind, text in outcomes if kind == "error" and "duplicate key" in text)
+    assert colon_proof > 100 and duplicates > 40

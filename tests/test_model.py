@@ -12,6 +12,7 @@ from alertagent.model import (
     BatteryAction,
     BatteryActionSpec,
     Event,
+    Fields,
     Group,
     check_fields,
     fields_problem,
@@ -92,14 +93,14 @@ def test_config_requires_destination_for_outbound_actions():
 
 
 _OK = {"name": "n", "kind": "a", "count": 1}
-_TABLE = {
+_TABLE = Fields({
     "name": need_str(),
     "kind": need_str(("a", "b")),
     "count": need_int(0, 9),
     "score": need_type(float, default=ABSENT),
     "on": need_type(bool, default=False),
     "tags": need_choices(("x", "y"), default=ABSENT),
-}
+})
 
 
 @pytest.mark.parametrize(
