@@ -33,7 +33,7 @@ def _load_input(path: str, loader):
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    scenario = _load_input(args.scenario, lambda p: parse_scenario(p, name=Path(p).stem))
+    scenario = _load_input(args.scenario, parse_scenario)
     kb = _load_input(args.kb, load_kb)
     config = _load_input(args.config, load_config) if args.config else AgentConfig()
 
@@ -43,7 +43,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.kb_out:
         save_kb(final_kb, args.kb_out)
     print(
-        f"scenario={scenario.name} events={len(scenario.events)} "
+        f"scenario={Path(args.scenario).stem} events={len(scenario.events)} "
         f"alerts={len(log.entries)} diagnostics={len(log.diagnostics)}"
     )
     return EXIT_OK

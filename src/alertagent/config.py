@@ -7,7 +7,6 @@ from typing import IO, Any
 
 from .errors import ConfigError
 from .model import (
-    ABSENT,
     AgentConfig,
     BatteryAction,
     BatteryActionSpec,
@@ -19,8 +18,8 @@ from .model import (
     read_json,
 )
 
-_INT = need_int(default=ABSENT)
-_NUMBER = need_type(float, default=ABSENT)  # read as a float, even when written as 1
+_INT = need_int(required=False)
+_NUMBER = need_type(float, required=False)  # read as a float, even when written as 1
 
 # Types only: AgentConfig holds the defaults and AgentConfig.validate the ranges.
 _CONFIG = Fields({
@@ -32,10 +31,10 @@ _CONFIG = Fields({
     "attend_window_ms": _INT,
     "tracker_timeout_ms": _INT,
     "sorter_t_floor_min": _NUMBER,
-    "battery_actions": need_type(list, default=ABSENT),
+    "battery_actions": need_type(list, required=False),
 })
 _ACTIONS = {a.value: a for a in BatteryAction}
-_ACTION = Fields({"kind": need_str(_ACTIONS), "destination": need_type(str, default=ABSENT)})
+_ACTION = Fields({"kind": need_str(_ACTIONS), "destination": need_type(str, required=False)})
 
 
 def config_from_dict(doc: Any) -> AgentConfig:

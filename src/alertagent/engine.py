@@ -29,7 +29,6 @@ from .model import (
     ALERT_FIELDS,
     FAILURE_REASONS,
     MAX_T,
-    REQUIRED,
     USER_FACING_ALERT_KINDS,
     AgentConfig,
     Alert,
@@ -54,16 +53,14 @@ from .tracker import CallerTracker, TrackerTask
 
 @dataclass
 class Scenario:
-    name: str
     events: list[Event] = field(default_factory=list)
 
 
-# Every event kind, with the fields it carries besides t and type. A field that
-# may be left out has a default, which parse_scenario fills in.
+# Every event kind, with the fields it carries besides t and type.
 _EVENT_FIELDS: dict[str, Fields] = {
     kind: Fields({"t": need_int(0, MAX_T), "type": need_str(), **fields})
     for kind, fields in {
-        "call_start": {"caller": need_str(), "safety": need_type(bool, default=False)},
+        "call_start": {"caller": need_str(), "safety": need_type(bool, required=False)},
         "call_end": {},
         "call_failed": {"callee": need_str(), "reason": need_str(FAILURE_REASONS)},
         "message_received": {"caller": need_str()},
@@ -80,10 +77,10 @@ _EVENT_FIELDS: dict[str, Fields] = {
     }.items()
 }
 # The table for a line whose type is missing or names no event kind.
-_BAD_TYPE = Fields({"type": (lambda kind: f"names an unknown event type: {kind!r}", REQUIRED)})
+_BAD_TYPE = Fields({"type": (lambda kind: f"names an unknown event type: {kind!r}", True)})
 
 
-def parse_scenario(source: str | Path | IO[str], name: str = "scenario") -> Scenario:
+def parse_scenario(source: str | Path | IO[str]) -> Scenario:
     """Parse a JSON-lines scenario; seq is the 1-based line number.
 
     Timestamps must be nondecreasing in file order. Blank lines are skipped
@@ -101,12 +98,9 @@ def parse_scenario(source: str | Path | IO[str], name: str = "scenario") -> Scen
                 f"line {lineno}: timestamp {t} is earlier than the previous event at {prev_t}"
             )
         prev_t = t
-        if len(obj) < len(fields):
-            for field_name, default in fields.defaults:
-                obj.setdefault(field_name, default)
         del obj["t"], obj["type"]
         events.append(Event(t, lineno, kind, obj))
-    return Scenario(name=name, events=events)
+    return Scenario(events=events)
 
 
 # ---------------------------------------------------------------------------
@@ -149,16 +143,10 @@ def _forward_line(alert: Alert, forwarded: str) -> str:
     )
 
 
-def alert_to_json(alert: Alert) -> str:
-    """One log line, without its newline: ``json.dumps(alert.to_record())``, compact."""
-    if alert.kind == "forward_to_device":
-        return _forward_line(alert, _encode(alert.payload["alert"]))
-    return _encode(alert.to_record())
-
-
 def _log_lines(entries: list[Alert]) -> Iterator[str]:
-    """Each alert's line, as ``alert_to_json`` gives it. The forwards of one due
-    alert share one record object, so its text is encoded once for all of them."""
+    """Each alert's line: ``json.dumps(alert.to_record())``, compact. The forwards
+    of one due alert share one record object, so its text is encoded once for all
+    of them."""
     record = text = None
     for alert in entries:
         if alert.kind != "forward_to_device":
@@ -175,7 +163,7 @@ def write_alert_log(log: AlertLog, sink: str | Path | IO[str]) -> None:
     write_text(sink, _log_lines(log.entries))
 
 
-_BAD_KIND = Fields({"kind": (lambda kind: f"names an unknown alert kind: {kind!r}", REQUIRED)})
+_BAD_KIND = Fields({"kind": (lambda kind: f"names an unknown alert kind: {kind!r}", True)})
 
 
 def read_alert_log(source: str | Path | IO[str]) -> list[Alert]:
@@ -343,7 +331,7 @@ class Engine:
                     "radiation_precall_warning",
                     {"caller": caller, "probability": unsafe_probability(record)},
                 )
-            self.monitor.start_call(ev.t, caller, ev.data["safety"])
+            self.monitor.start_call(ev.t, caller, ev.data.get("safety", False))
         # sorter stage
         self.tally.add(caller, "call", ev.t)
 

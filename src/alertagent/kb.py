@@ -27,7 +27,6 @@ from .forwarder import DeviceRegistration
 from .model import (
     ALERT_KINDS,
     MAX_T,
-    REQUIRED,
     Contact,
     Fields,
     Group,
@@ -59,7 +58,7 @@ def _signal_map(value: Any) -> str | None:
 # KnowledgeBase.validate, which knowledge bases built in code go through too.
 _TOP = Fields({
     "contacts": need_type(list),
-    "context_signals": (_signal_map, REQUIRED),
+    "context_signals": (_signal_map, True),
     "devices": need_type(list),
     "safety_records": need_type(dict),
 })

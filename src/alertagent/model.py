@@ -56,19 +56,10 @@ def _read_text(source: str | Path | IO[str], error: type[InputError]) -> str:
 
 
 def _decode(text: str, error: type[InputError], line: int | None = None) -> Any:
-    """Decode one JSON text; ``line`` is its line number when it is one line of a file.
-
-    A line comes stripped of JSON whitespace, so ``raw_decode`` (no whitespace
-    scans) reads it whole or leaves "Extra data", as ``decode`` would.
-    """
+    """Decode one JSON text; ``line`` is its line number when it is one line of a file."""
     where = "" if line is None else f"line {line}: "
     try:
-        if line is None:
-            return _DECODER.decode(text)
-        obj, end = _DECODER.raw_decode(text)
-        if end != len(text):
-            raise json.JSONDecodeError("Extra data", text, end)
-        return obj
+        return _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         if line is None:
             where = f"line {exc.lineno}, column {exc.colno}: "
@@ -157,14 +148,10 @@ def write_text(sink: str | Path | IO[str], chunks: Iterable[str]) -> None:
         sink.writelines(chunks)
 
 
-# Defaults in a field table (see Fields): REQUIRED fields must be given, and an
-# ABSENT field may be left out and has no default value.
-REQUIRED = object()
-ABSENT = object()
 MAX_T = 2**53 - 1  # the bound on event times and durations (ms): exact as a double
 
 
-def need_str(choices: Any = None, default: Any = REQUIRED):
+def need_str(choices: Any = None, required: bool = True):
     """A non-empty string, one of ``choices`` if given."""
 
     def check(value: Any) -> str | None:
@@ -174,10 +161,10 @@ def need_str(choices: Any = None, default: Any = REQUIRED):
             return f"must be one of {sorted(choices)}"
         return None
 
-    return check, default
+    return check, required
 
 
-def need_int(lo: int | None = None, hi: int | None = None, default: Any = REQUIRED):
+def need_int(lo: int | None = None, hi: int | None = None, required: bool = True):
     def check(value: Any) -> str | None:
         if not isinstance(value, int) or isinstance(value, bool):
             return "must be an integer"
@@ -185,10 +172,10 @@ def need_int(lo: int | None = None, hi: int | None = None, default: Any = REQUIR
             return "out of range"
         return None
 
-    return check, default
+    return check, required
 
 
-def need_choices(choices: Any, default: Any = REQUIRED):
+def need_choices(choices: Any, required: bool = True):
     """An array whose items are each one of ``choices``."""
 
     def check(value: Any) -> str | None:
@@ -199,7 +186,7 @@ def need_choices(choices: Any, default: Any = REQUIRED):
                 return f"holds {item!r}, not one of {sorted(choices)}"
         return None
 
-    return check, default
+    return check, required
 
 
 _TYPE_NAMES = {
@@ -207,7 +194,7 @@ _TYPE_NAMES = {
 }
 
 
-def need_type(kind: type, default: Any = REQUIRED):
+def need_type(kind: type, required: bool = True):
     """Any JSON value of one type: ``float`` takes integers a float can hold, ``str`` takes ""."""
     kinds = (int, float) if kind is float else kind
 
@@ -221,26 +208,22 @@ def need_type(kind: type, default: Any = REQUIRED):
                 return "is too large for a float"
         return None
 
-    return check, default
+    return check, required
 
 
 class Fields(dict):
-    """A field table: maps each field an object may hold to (check, default).
+    """A field table: maps each field an object may hold to (check, required).
 
-    A check returns what is wrong with a value, or None. A field whose default
-    is REQUIRED must be given; any other may be left out, and ABSENT means it
-    has no default value. Only parse_scenario fills in defaults; check_fields
-    never does. A table is compiled once, when it is made, into the parts
-    those two read, and is not changed afterwards.
+    A check returns what is wrong with a value, or None. A required field must
+    be given; any other may be left out, and nothing fills it in. A table is
+    compiled once, when it is made, into the parts check_fields reads, and is
+    not changed afterwards.
     """
 
-    def __init__(self, fields: dict[str, tuple[Callable[[Any], Any], Any]]) -> None:
+    def __init__(self, fields: dict[str, tuple[Callable[[Any], Any], bool]]) -> None:
         super().__init__(fields)
         self.checks = {name: check for name, (check, _) in self.items()}
-        self.required = frozenset(name for name, (_, dflt) in self.items() if dflt is REQUIRED)
-        self.defaults = tuple(
-            (name, dflt) for name, (_, dflt) in self.items() if dflt not in (REQUIRED, ABSENT)
-        )
+        self.required = frozenset(name for name, (_, required) in self.items() if required)
 
 
 def fields_problem(obj: Any, fields: Fields) -> str | None:
@@ -249,13 +232,13 @@ def fields_problem(obj: Any, fields: Fields) -> str | None:
     if not isinstance(obj, dict):
         return "expected an object"
     known = 0
-    for name, (check, default) in fields.items():
+    for name, (check, required) in fields.items():
         if name in obj:
             known += 1
             problem = check(obj[name])
             if problem is not None:
                 return f"field {name!r} {problem}"
-        elif default is REQUIRED:
+        elif required:
             return f"missing field {name!r}"
     if known < len(obj):
         return f"unknown field {next(name for name in obj if name not in fields)!r}"
@@ -396,11 +379,11 @@ ALERT_FIELDS: dict[str, Fields] = {
         "radiation_incall_warning": _CALLER | {"exposure_ms": need_int()},
         "battery_action": {
             "action": need_str({a.value for a in BatteryAction}),
-            "caller": need_str(default=ABSENT),
-            "destination": need_str(default=ABSENT),
+            "caller": need_str(required=False),
+            "destination": need_str(required=False),
         },
         "forward_to_device": {"device_id": need_str(), "alert": need_type(dict)},
-        "sorted_list_snapshot": {"entries": (_snapshot_entries, REQUIRED)},
+        "sorted_list_snapshot": {"entries": (_snapshot_entries, True)},
     }.items()
 }
 ALERT_KINDS = tuple(ALERT_FIELDS)

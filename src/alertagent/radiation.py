@@ -78,14 +78,6 @@ class CallMonitor:
         self._expose(None)
         return caller_id
 
-    def main_timer_ms(self, t: int) -> int:
-        assert self.caller_id is not None, "no active call"
-        return t - self.start_ms
-
-    def exposure_ms(self, t: int) -> int:
-        """Current continuous exposure; 0 while in safety mode or with no call."""
-        return 0 if self.exposure_start_ms is None else t - self.exposure_start_ms
-
     def next_warning_at(self) -> int | None:
         """Absolute time at which the next exposure warning would be due."""
         return self.next_warning_ms

@@ -51,9 +51,9 @@ def load_kb_doc(doc: dict[str, Any]) -> KnowledgeBase:
     return load_kb(io.StringIO(json.dumps(doc)))
 
 
-def make_scenario(lines: list[dict[str, Any]], name: str = "test") -> Scenario:
+def make_scenario(lines: list[dict[str, Any]]) -> Scenario:
     text = "\n".join(json.dumps(line) for line in lines) + "\n"
-    return parse_scenario(io.StringIO(text), name=name)
+    return parse_scenario(io.StringIO(text))
 
 
 def log_text(log: AlertLog) -> str:

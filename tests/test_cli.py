@@ -427,6 +427,26 @@ def test_undecodable_input_is_code_1(tmp_path, capsys, argv, line, payload):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--kb", str(ROOT / "sample" / "kb.json"), "--scenario"],
+        ["validate", "--scenario"],
+        ["report", "--log"],
+        ["validate", "--kb"],
+        ["validate", "--config"],
+    ],
+    ids=["run", "scenario", "log", "kb", "config"],
+)
+def test_invalid_utf8_names_its_file_and_line(tmp_path, capsys, argv):
+    path, out = tmp_path / "input.json", tmp_path / "log.jsonl"
+    path.write_bytes(_NOT_UTF8)
+    assert main([*argv, str(path), *(["--out", str(out)] if argv[0] == "run" else [])]) == 1
+    err = _assert_input_error(capsys, path)
+    assert f"{path.name}: line 2: invalid UTF-8: " in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "line",
     [
         '{"t":0,"seq":1,"kind":"sorted_list_snapshot","entries":5}',

@@ -10,7 +10,6 @@ import pytest
 from alertagent.engine import (
     AlertLog,
     Engine,
-    alert_to_json,
     parse_scenario,
     read_alert_log,
     run_scenario,
@@ -67,7 +66,7 @@ def test_parse_strips_json_whitespace_around_a_line():
     assert [(ev.t, ev.seq) for ev in scenario.events] == [(0, 1), (1, 3)]
 
 
-def test_parse_fills_defaults_and_drops_t_and_type_from_data():
+def test_parse_leaves_omitted_fields_out_and_drops_t_and_type_from_data():
     text = (
         '{"t": 0, "type": "call_start", "caller": "c1"}\n'
         '{"t": 1, "type": "call_start", "safety": true, "caller": "c2"}\n'
@@ -75,7 +74,7 @@ def test_parse_fills_defaults_and_drops_t_and_type_from_data():
         '{"t": 3, "type": "battery_level", "pct": 50}\n'
     )
     events = parse_scenario(io.StringIO(text)).events
-    assert events[0].data == {"caller": "c1", "safety": False}
+    assert events[0].data == {"caller": "c1"}  # an omitted safety stays omitted
     assert events[1].data == {"safety": True, "caller": "c2"}
     assert events[2].data == {}
     assert events[3].data == {"pct": 50}
@@ -185,10 +184,10 @@ def test_seven_minute_call_frozen_log():
             {"t": 420_000, "type": "call_end"},
         ]
     )
-    assert [alert_to_json(a) for a in log.entries] == [
-        '{"t":0,"seq":1,"kind":"ring","caller":"c1"}',
-        '{"t":360000,"seq":2,"kind":"radiation_incall_warning","caller":"c1","exposure_ms":360000}',
-    ]
+    assert log_text(log) == (
+        '{"t":0,"seq":1,"kind":"ring","caller":"c1"}\n'
+        '{"t":360000,"seq":2,"kind":"radiation_incall_warning","caller":"c1","exposure_ms":360000}\n'
+    )
     record = final_kb.safety_records["c1"]
     assert (record.total_calls, record.unsafe_calls) == (1, 1)
 
@@ -669,7 +668,9 @@ def test_write_alert_log_gives_a_path_the_same_bytes_as_a_stream(tmp_path):
     path, stream = tmp_path / "log.jsonl", io.StringIO()
     write_alert_log(log, path)
     write_alert_log(log, stream)
-    assert stream.getvalue() == "".join(alert_to_json(alert) + "\n" for alert in log.entries)
+    assert stream.getvalue() == "".join(
+        json.dumps(alert.to_record(), separators=(",", ":")) + "\n" for alert in log.entries
+    )
     assert path.read_bytes() == stream.getvalue().encode("utf-8")
     assert len(log.entries) == 3 and path.read_bytes().isascii()
 
@@ -758,18 +759,19 @@ _EVERY_KIND_LOG = (
 )
 
 
-def test_alert_to_json_is_compact_json_dumps_for_every_kind():
+def test_written_line_is_compact_json_dumps_for_every_kind():
     alerts = read_alert_log(io.StringIO(_EVERY_KIND_LOG))
     assert {alert.kind for alert in alerts} == set(ALERT_KINDS)
-    for alert in alerts:
-        assert alert_to_json(alert) == json.dumps(alert.to_record(), separators=(",", ":"))
+    assert log_text(AlertLog(entries=alerts)).split("\n") == [
+        json.dumps(alert.to_record(), separators=(",", ":")) for alert in alerts
+    ] + [""]
 
 
 @pytest.mark.parametrize("score", [math.inf, -math.inf, math.nan])
-def test_alert_to_json_refuses_a_non_finite_number(score):
+def test_written_log_refuses_a_non_finite_number(score):
     entries = [{"caller": "c1", "kind": "call", "score": score}]
     with pytest.raises(ValueError):
-        alert_to_json(Alert(0, 1, "sorted_list_snapshot", {"entries": entries}))
+        log_text(AlertLog(entries=[Alert(0, 1, "sorted_list_snapshot", {"entries": entries})]))
 
 
 def test_alert_table_covers_every_alert_kind():

@@ -10,6 +10,7 @@ generator replays the scenario once with this engine to name attendance ids).
 from __future__ import annotations
 
 import hashlib
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -85,6 +86,28 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _inputs(case: str, tmp_path: Path) -> Path:
+    """The input directory of a case: ``sample/``, or a generated workload."""
+    if case == "sample":
+        return ROOT / "sample"
+    workload, seed = case.rsplit("-", 1)
+    inputs = tmp_path / "in"
+    load_bench_gen().generate(workload, int(seed), inputs, SCALE)
+    return inputs
+
+
+def _run_argv(inputs: Path, out: Path) -> list[str]:
+    """``alertagent run`` over ``inputs``, writing log.jsonl and kb.json to ``out``."""
+    return [
+        "run",
+        "--scenario", str(inputs / "scenario.jsonl"),
+        "--kb", str(inputs / "kb.json"),
+        "--config", str(inputs / "config.json"),
+        "--out", str(out / "log.jsonl"),
+        "--kb-out", str(out / "kb.json"),
+    ]
+
+
 def _replay(inputs: Path, outputs: Path) -> tuple[str, str]:
     """Run the way ``alertagent run`` does; returns the log and kb-out sha256."""
     log, kb = run_scenario(
@@ -101,12 +124,8 @@ def _replay(inputs: Path, outputs: Path) -> tuple[str, str]:
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_golden_outputs(case, tmp_path):
     scenario_sha, log_sha, kb_sha = GOLDEN[case]
-    if case == "sample":
-        inputs = ROOT / "sample"
-    else:
-        workload, seed = case.rsplit("-", 1)
-        inputs = tmp_path / "in"
-        load_bench_gen().generate(workload, int(seed), inputs, SCALE)
+    inputs = _inputs(case, tmp_path)
+    if scenario_sha is not None:
         assert _sha256(inputs / "scenario.jsonl") == scenario_sha, "generator drift"
     assert _replay(inputs, tmp_path / "out") == (log_sha, kb_sha)
 
@@ -127,24 +146,12 @@ sys.exit(main(sys.argv[2:]))
 
 @pytest.mark.parametrize("case", ["sample", "busy_day-1"])
 def test_outputs_are_the_same_without_json_c_accelerator(case, tmp_path):
-    if case == "sample":
-        inputs = ROOT / "sample"
-    else:
-        workload, seed = case.rsplit("-", 1)
-        inputs = tmp_path / "in"
-        load_bench_gen().generate(workload, int(seed), inputs, SCALE)
+    inputs = _inputs(case, tmp_path)
     outputs = {}
     for side in ("c", "python"):
         out = tmp_path / side
         out.mkdir()
-        argv = [
-            "run",
-            "--scenario", str(inputs / "scenario.jsonl"),
-            "--kb", str(inputs / "kb.json"),
-            "--config", str(inputs / "config.json"),
-            "--out", str(out / "log.jsonl"),
-            "--kb-out", str(out / "kb.json"),
-        ]
+        argv = _run_argv(inputs, out)
         if side == "c":
             assert main(argv) == 0
         else:
@@ -155,3 +162,19 @@ def test_outputs_are_the_same_without_json_c_accelerator(case, tmp_path):
             assert proc.returncode == 0, proc.stderr
         outputs[side] = (_sha256(out / "log.jsonl"), _sha256(out / "kb.json"))
     assert outputs["python"] == outputs["c"]
+
+
+@pytest.mark.parametrize("case", ["sample", "busy_day-1"])
+@pytest.mark.parametrize("hash_seed", ["0", "12345"])
+def test_outputs_do_not_depend_on_the_hash_seed(case, hash_seed, tmp_path):
+    """String hashing is salted per process; no output byte may depend on it."""
+    inputs, out = _inputs(case, tmp_path), tmp_path / "out"
+    out.mkdir()
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "alertagent", *_run_argv(inputs, out)],
+        env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (_sha256(out / "log.jsonl"), _sha256(out / "kb.json")) == GOLDEN[case][1:]

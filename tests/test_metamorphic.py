@@ -110,3 +110,33 @@ def test_renaming_callers_renames_the_log_and_kb_out_and_nothing_else(inputs):
     assert_same_text(
         kb_to_text(renamed_kb_out), json.dumps(expected, sort_keys=True, indent=2) + "\n"
     )
+
+
+def _toggle_safety(text: str) -> tuple[str, int]:
+    """``text`` with each call_start's ``"safety": false`` added where it is left out
+    and taken out where it is written, and the number of lines changed."""
+    lines, changed = [], 0
+    for line in text.split("\n"):
+        obj = json.loads(line) if line else {}
+        if obj.get("type") == "call_start" and obj.get("safety", False) is False:
+            if obj.pop("safety", None) is None:
+                obj["safety"] = False
+            line = json.dumps(obj)
+            changed += 1
+        lines.append(line)
+    return "\n".join(lines), changed
+
+
+def test_an_omitted_safety_runs_as_false(inputs):
+    scenario_text = (inputs / "scenario.jsonl").read_text(encoding="utf-8")
+    toggled, changed = _toggle_safety(scenario_text)
+    if inputs == ROOT / "sample":
+        assert '"safety"' not in scenario_text and changed == 10
+    else:
+        assert '"safety": false' not in toggled and changed
+    config, kb = load_config(inputs / "config.json"), load_kb(inputs / "kb.json")
+    log, kb_out = run_scenario(parse_scenario(io.StringIO(scenario_text)), config, kb)
+    toggled_log, toggled_kb_out = run_scenario(parse_scenario(io.StringIO(toggled)), config, kb)
+    assert log.entries
+    assert_same_text(log_text(toggled_log), log_text(log))
+    assert_same_text(kb_to_text(toggled_kb_out), kb_to_text(kb_out))

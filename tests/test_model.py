@@ -6,7 +6,6 @@ import pytest
 
 from alertagent.errors import ConfigError, InputError
 from alertagent.model import (
-    ABSENT,
     AgentConfig,
     Alert,
     BatteryAction,
@@ -97,9 +96,9 @@ _TABLE = Fields({
     "name": need_str(),
     "kind": need_str(("a", "b")),
     "count": need_int(0, 9),
-    "score": need_type(float, default=ABSENT),
-    "on": need_type(bool, default=False),
-    "tags": need_choices(("x", "y"), default=ABSENT),
+    "score": need_type(float, required=False),
+    "on": need_type(bool, required=False),
+    "tags": need_choices(("x", "y"), required=False),
 })
 
 

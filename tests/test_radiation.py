@@ -37,29 +37,31 @@ def test_classification_boundaries():
 def test_exposure_runs_from_call_start_outside_safety_mode():
     monitor = CallMonitor(LIMIT)
     monitor.start_call(0, "c1", safety=False)
-    assert monitor.exposure_ms(120_000) == 120_000
-    assert monitor.main_timer_ms(120_000) == 120_000
+    assert monitor.start_ms == 0
+    assert monitor.exposure_start_ms == 0
 
 
 def test_safety_enter_clears_and_exit_restarts_exposure():
     monitor = CallMonitor(LIMIT)
     monitor.start_call(0, "c1", safety=False)
     monitor.on_safety(120_000, entering=True)
-    assert monitor.exposure_ms(150_000) == 0
+    assert monitor.exposure_start_ms is None
     monitor.on_safety(200_000, entering=False)
-    assert monitor.exposure_ms(200_000) == 0
-    assert monitor.exposure_ms(260_000) == 60_000
-    assert monitor.main_timer_ms(260_000) == 260_000
+    assert monitor.exposure_start_ms == 200_000
+    assert monitor.start_ms == 0
 
 
 def test_repeated_transitions_are_idempotent():
     monitor = CallMonitor(LIMIT)
     monitor.start_call(0, "c1", safety=False)
     monitor.on_safety(1000, entering=False)  # already exposed
-    assert monitor.exposure_ms(2000) == 2000
+    assert monitor.exposure_start_ms == 0
     monitor.on_safety(3000, entering=True)
     monitor.on_safety(4000, entering=True)  # already in safety mode
-    assert monitor.exposure_ms(5000) == 0
+    assert monitor.exposure_start_ms is None
+    monitor.on_safety(5000, entering=False)
+    monitor.on_safety(6000, entering=False)  # already exposed again
+    assert monitor.exposure_start_ms == 5000
 
 
 def test_call_starting_in_safety_mode_has_no_pending_warning():
@@ -96,7 +98,8 @@ def simulate(initial_safety, transitions, end_t, limit=LIMIT):
                 break
             monitor.note_warning()
             warn_times.append(due)
-            assert monitor.exposure_ms(due) <= due  # subtimer never beats main timer
+            exposure_start = monitor.exposure_start_ms  # subtimer never beats main timer
+            assert exposure_start is None or 0 <= monitor.start_ms <= exposure_start
         if action == "enter":
             monitor.on_safety(when, entering=True)
         elif action == "exit":
@@ -105,7 +108,8 @@ def simulate(initial_safety, transitions, end_t, limit=LIMIT):
             caller, main_ms = monitor.end_call(when)
             assert caller == "c1" and main_ms == when
         if monitor.caller_id is not None:
-            assert monitor.exposure_ms(when) <= monitor.main_timer_ms(when)
+            exposure_start = monitor.exposure_start_ms
+            assert exposure_start is None or 0 <= monitor.start_ms <= exposure_start
     return warn_times
 
 
