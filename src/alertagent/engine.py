@@ -34,12 +34,11 @@ from .model import (
     Alert,
     BatteryAction,
     Event,
-    Fields,
-    check_fields,
+    Tagged,
     need_int,
     need_str,
     need_type,
-    read_json_lines,
+    read_records,
     write_text,
 )
 from .radiation import CallMonitor, is_unsafe_call, should_warn_precall, unsafe_probability
@@ -57,27 +56,22 @@ class Scenario:
 
 
 # Every event kind, with the fields it carries besides t and type.
-_EVENT_FIELDS: dict[str, Fields] = {
-    kind: Fields({"t": need_int(0, MAX_T), "type": need_str(), **fields})
-    for kind, fields in {
-        "call_start": {"caller": need_str(), "safety": need_type(bool, required=False)},
-        "call_end": {},
-        "call_failed": {"callee": need_str(), "reason": need_str(FAILURE_REASONS)},
-        "message_received": {"caller": need_str()},
-        "battery_level": {"pct": need_int(0, 100)},
-        "sensor": {"signal_kind": need_str(SENSOR_SIGNAL_KINDS), "signal_value": need_str()},
-        "user_context": {"context": need_str({c.value for c in Context})},
-        "user_response": {"prompt_id": need_str(), "answer": need_str(("yes", "no"))},
-        "delivery_report": {"tracking_msg_id": need_str(), "positive": need_type(bool)},
-        "notification_attended": {"alert_id": need_int(1)},
-        "sleep_mode": {"on": need_type(bool)},
-        "safety_mode_enter": {},
-        "safety_mode_exit": {},
-        "snapshot_request": {},
-    }.items()
-}
-# The table for a line whose type is missing or names no event kind.
-_BAD_TYPE = Fields({"type": (lambda kind: f"names an unknown event type: {kind!r}", True)})
+_EVENT_FIELDS = Tagged("type", "event type", {"t": need_int(0, MAX_T)}, {
+    "call_start": {"caller": need_str(), "safety": need_type(bool, required=False)},
+    "call_end": {},
+    "call_failed": {"callee": need_str(), "reason": need_str(FAILURE_REASONS)},
+    "message_received": {"caller": need_str()},
+    "battery_level": {"pct": need_int(0, 100)},
+    "sensor": {"signal_kind": need_str(SENSOR_SIGNAL_KINDS), "signal_value": need_str()},
+    "user_context": {"context": need_str({c.value for c in Context})},
+    "user_response": {"prompt_id": need_str(), "answer": need_str(("yes", "no"))},
+    "delivery_report": {"tracking_msg_id": need_str(), "positive": need_type(bool)},
+    "notification_attended": {"alert_id": need_int(1)},
+    "sleep_mode": {"on": need_type(bool)},
+    "safety_mode_enter": {},
+    "safety_mode_exit": {},
+    "snapshot_request": {},
+})
 
 
 def parse_scenario(source: str | Path | IO[str]) -> Scenario:
@@ -88,18 +82,13 @@ def parse_scenario(source: str | Path | IO[str]) -> Scenario:
     """
     events: list[Event] = []
     prev_t = 0
-    for lineno, obj in read_json_lines(source, ScenarioError):
-        kind = obj.get("type")
-        fields = _EVENT_FIELDS.get(kind, _BAD_TYPE) if isinstance(kind, str) else _BAD_TYPE
-        check_fields(obj, fields, lineno, ScenarioError)
-        t = obj["t"]
+    for lineno, t, kind, data in read_records(source, _EVENT_FIELDS, ScenarioError):
         if t < prev_t:
             raise ScenarioError(
                 f"line {lineno}: timestamp {t} is earlier than the previous event at {prev_t}"
             )
         prev_t = t
-        del obj["t"], obj["type"]
-        events.append(Event(t, lineno, kind, obj))
+        events.append(Event(t, lineno, kind, data))
     return Scenario(events=events)
 
 
@@ -163,18 +152,10 @@ def write_alert_log(log: AlertLog, sink: str | Path | IO[str]) -> None:
     write_text(sink, _log_lines(log.entries))
 
 
-_BAD_KIND = Fields({"kind": (lambda kind: f"names an unknown alert kind: {kind!r}", True)})
-
-
 def read_alert_log(source: str | Path | IO[str]) -> list[Alert]:
     """Parse a written alert log back into Alert values (for reporting)."""
-    alerts: list[Alert] = []
-    for lineno, obj in read_json_lines(source, AlertLogError):
-        kind = obj.get("kind")
-        fields = ALERT_FIELDS.get(kind, _BAD_KIND) if isinstance(kind, str) else _BAD_KIND
-        check_fields(obj, fields, lineno, AlertLogError)
-        alerts.append(Alert(obj.pop("t"), obj.pop("seq"), obj.pop("kind"), obj))
-    return alerts
+    records = read_records(source, ALERT_FIELDS, AlertLogError)
+    return [Alert(t, rest.pop("seq"), kind, rest) for _, t, kind, rest in records]
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +210,8 @@ class Engine:
             self.ledger.track(alert)
 
     def _emit_snapshot(self) -> None:
-        entries = self.tally.snapshot(self.kb, self.clock, self.config.sorter_t_floor_min)
-        self._emit(
-            "sorted_list_snapshot",
-            {"entries": [{"caller": c, "kind": k, "score": s} for c, k, s in entries]},
-        )
+        entries = self.tally.snapshot(self.clock, self.config.sorter_t_floor_min)
+        self._emit("sorted_list_snapshot", {"entries": entries})
 
     def _emit_tracker(self, kind: str, task: TrackerTask) -> None:
         self._emit(
@@ -333,7 +311,7 @@ class Engine:
                 )
             self.monitor.start_call(ev.t, caller, ev.data.get("safety", False))
         # sorter stage
-        self.tally.add(caller, "call", ev.t)
+        self.tally.add(caller, "call", ev.t, group)
 
     def _on_call_end(self, ev: Event) -> None:
         if self.monitor.caller_id is None:
@@ -360,7 +338,7 @@ class Engine:
 
     def _on_message_received(self, ev: Event) -> None:
         self._emit("beep", {"caller": ev.data["caller"]})
-        self.tally.add(ev.data["caller"], "message", ev.t)
+        self.tally.add(ev.data["caller"], "message", ev.t, self.kb.contact_group(ev.data["caller"]))
 
     def _on_battery_level(self, ev: Event) -> None:
         if self.battery.on_level(ev.data["pct"]):

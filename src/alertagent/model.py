@@ -265,6 +265,32 @@ def check_fields(obj: Any, fields: Fields, where: str | int, error: type[InputEr
     raise error(f"{f'line {where}' if isinstance(where, int) else where}: {problem}")
 
 
+class Tagged(dict):
+    """Field tables by the value of the field ``tag``: each kind's table holds
+    ``common``, the tag and the kind's own fields. An object whose tag is missing
+    or names no kind is checked against ``unknown``, which names the tag."""
+
+    def __init__(self, tag: str, noun: str, common: dict, kinds: dict[str, dict]) -> None:
+        tables = {kind: Fields({**common, tag: need_str(), **own}) for kind, own in kinds.items()}
+        super().__init__(tables)
+        self.tag = tag
+        self.unknown = Fields({tag: (lambda value: f"names an unknown {noun}: {value!r}", True)})
+
+    def table(self, obj: Any) -> Fields:
+        value = obj.get(self.tag) if isinstance(obj, dict) else None
+        return self.get(value, self.unknown) if isinstance(value, str) else self.unknown
+
+
+def read_records(
+    source: str | Path | IO[str], tables: Tagged, error: type[InputError]
+) -> Iterator[tuple[int, int, str, dict[str, Any]]]:
+    """(line number, t, tag, the rest of the object) for each line of a JSON-lines
+    file of timestamped records, each checked against the table its tag names."""
+    for lineno, obj in read_json_lines(source, error):
+        check_fields(obj, tables.table(obj), lineno, error)
+        yield lineno, obj.pop("t"), obj.pop(tables.tag), obj
+
+
 class Group(str, Enum):
     """Contact classification. A is the inner circle, D covers unknown callers."""
 
@@ -360,45 +386,44 @@ def _snapshot_entries(value: Any) -> str | None:
     return None
 
 
+def _forwarded(value: Any) -> str | None:
+    problem = fields_problem(value, _USER_FACING_FIELDS.table(value))
+    return problem and f"is not a user-facing alert: {problem}"
+
+
 _CALLER = {"caller": need_str()}
 _PROMPT = {"prompt_id": need_str(), "callee": need_str()}
 _TRACKER = _PROMPT | {"tracking_msg_id": need_str()}
 
 # Every alert kind, with the payload fields it carries besides t, seq and kind.
-ALERT_FIELDS: dict[str, Fields] = {
-    kind: Fields({"t": need_int(), "seq": need_int(), "kind": need_str(), **fields})
-    for kind, fields in {
-        "ring": _CALLER,
-        "beep": _CALLER,
-        "suppress_note": _CALLER | {"count": need_int(), "ring_at": need_int()},
-        "prompt": _PROMPT | {"reason": need_str(FAILURE_REASONS)},
-        "tracker_message": _TRACKER,
-        "tracker_notify": _TRACKER,
-        "tracker_expired": _TRACKER,
-        "radiation_precall_warning": _CALLER | {"probability": need_type(float)},
-        "radiation_incall_warning": _CALLER | {"exposure_ms": need_int()},
-        "battery_action": {
-            "action": need_str({a.value for a in BatteryAction}),
-            "caller": need_str(required=False),
-            "destination": need_str(required=False),
-        },
-        "forward_to_device": {"device_id": need_str(), "alert": need_type(dict)},
-        "sorted_list_snapshot": {"entries": (_snapshot_entries, True)},
-    }.items()
-}
+ALERT_FIELDS = Tagged("kind", "alert kind", {"t": need_int(), "seq": need_int()}, {
+    "ring": _CALLER,
+    "beep": _CALLER,
+    "suppress_note": _CALLER | {"count": need_int(), "ring_at": need_int()},
+    "prompt": _PROMPT | {"reason": need_str(FAILURE_REASONS)},
+    "tracker_message": _TRACKER,
+    "tracker_notify": _TRACKER,
+    "tracker_expired": _TRACKER,
+    "radiation_precall_warning": _CALLER | {"probability": need_type(float)},
+    "radiation_incall_warning": _CALLER | {"exposure_ms": need_int()},
+    "battery_action": {
+        "action": need_str({a.value for a in BatteryAction}),
+        "caller": need_str(required=False),
+        "destination": need_str(required=False),
+    },
+    "forward_to_device": {"device_id": need_str(), "alert": (_forwarded, True)},
+    "sorted_list_snapshot": {"entries": (_snapshot_entries, True)},
+})
 ALERT_KINDS = tuple(ALERT_FIELDS)
 
-# Alert kinds presented directly to the user. Only these enter the
-# attendance ledger and are eligible for forwarding to registered devices.
+# Alert kinds presented directly to the user. Only these enter the attendance
+# ledger and are forwarded to registered devices: a forward carries one's record.
 USER_FACING_ALERT_KINDS = frozenset(
-    {
-        "ring",
-        "beep",
-        "tracker_notify",
-        "radiation_precall_warning",
-        "radiation_incall_warning",
-    }
+    {"ring", "beep", "tracker_notify", "radiation_precall_warning", "radiation_incall_warning"}
 )
+_USER_FACING_FIELDS = Tagged("kind", "user-facing alert kind", {}, {
+    kind: fields for kind, fields in ALERT_FIELDS.items() if kind in USER_FACING_ALERT_KINDS
+})
 
 
 def _clip(value: Any) -> str:

@@ -8,25 +8,23 @@ Highest score first.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import Any
 
-from .model import group_weight
-
-if TYPE_CHECKING:
-    from .kb import KnowledgeBase
+from .model import Group, group_weight
 
 
 class MissedItemTally:
     """Mutable per-run store of unacknowledged call/message counts."""
 
     def __init__(self) -> None:
-        # (caller_id, kind) -> [count, latest_time_ms]
+        # (caller_id, kind) -> [count, latest_time_ms, weight of the group given at the
+        # first add]. A caller's group is fixed for a run, as contacts are.
         self._items: dict[tuple[str, str], list[int]] = {}
 
-    def add(self, caller_id: str, kind: str, t: int) -> None:
+    def add(self, caller_id: str, kind: str, t: int, group: Group) -> None:
         entry = self._items.get((caller_id, kind))
         if entry is None:
-            self._items[(caller_id, kind)] = [1, t]
+            self._items[(caller_id, kind)] = [1, t, group_weight(group)]
         else:
             entry[0] += 1
             entry[1] = t
@@ -35,10 +33,8 @@ class MissedItemTally:
         """Drop the caller's record of that kind. True if one existed."""
         return self._items.pop((caller_id, kind), None) is not None
 
-    def snapshot(
-        self, kb: "KnowledgeBase", now_ms: int, t_floor_min: float
-    ) -> list[tuple[str, str, float]]:
-        """Rank the records as (caller, kind, score), highest score first.
+    def snapshot(self, now_ms: int, t_floor_min: float) -> list[dict[str, Any]]:
+        """Rank the records as snapshot entries {caller, kind, score}, highest score first.
 
         Every score is strictly positive and finite. Ties break by higher group
         weight, then more recent latest item, then caller id ascending, then
@@ -46,9 +42,9 @@ class MissedItemTally:
         kind, so the order never depends on arrival order.
         """
         ranked = []
-        for (caller, kind), (count, latest) in self._items.items():
-            weight = group_weight(kb.contact_group(caller))
+        for (caller, kind), (count, latest, weight) in self._items.items():
             score = weight * count / max(t_floor_min, (now_ms - latest) / 60000.0)
             ranked.append((-score, -weight, -latest, caller, kind))
         ranked.sort()
-        return [(caller, kind, -neg_score) for neg_score, _w, _l, caller, kind in ranked]
+        return [{"caller": caller, "kind": kind, "score": -neg_score}
+                for neg_score, _w, _l, caller, kind in ranked]

@@ -84,12 +84,14 @@ class Record(NamedTuple):
     latest_time_ms: int
 
 
-def tally_of(records: Iterable[Record]) -> MissedItemTally:
-    """A tally holding exactly these records, built through ``add``."""
+def tally_of(records: Iterable[Record], kb: KnowledgeBase) -> MissedItemTally:
+    """A tally holding exactly these records, built through ``add`` with each
+    caller's group in ``kb``, as the engine adds them."""
     tally = MissedItemTally()
     for record in records:
+        group = kb.contact_group(record.caller_id)
         for _ in range(record.n):
-            tally.add(record.caller_id, record.kind, record.latest_time_ms)
+            tally.add(record.caller_id, record.kind, record.latest_time_ms, group)
     return tally
 
 
@@ -99,6 +101,5 @@ def kb_with(groups: dict[str, Group]) -> KnowledgeBase:
 
 def snapshot_score(record: Record, group: Group, now_ms: int, floor: float) -> float:
     """The score a snapshot gives one record whose caller is in ``group``."""
-    kb = kb_with({record.caller_id: group})
-    [(_caller, _kind, score)] = tally_of([record]).snapshot(kb, now_ms, floor)
-    return score
+    [entry] = tally_of([record], kb_with({record.caller_id: group})).snapshot(now_ms, floor)
+    return entry["score"]

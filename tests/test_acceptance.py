@@ -98,7 +98,7 @@ def _oracle_sorted(records, groups, now_ms, floor):
         records,
         key=lambda r: (-score(r), -weight(r), -r.latest_time_ms, r.caller_id, r.kind),
     )
-    return [(r.caller_id, r.kind, score(r)) for r in ordered]
+    return [{"caller": r.caller_id, "kind": r.kind, "score": score(r)} for r in ordered]
 
 
 def test_criterion_2_sorter_matches_brute_force_oracle():
@@ -122,7 +122,7 @@ def test_criterion_2_sorter_matches_brute_force_oracle():
                 )
                 for cid, kind in chosen
             ]
-            assert tally_of(records).snapshot(kb, now, 1.0) == _oracle_sorted(
+            assert tally_of(records, kb).snapshot(now, 1.0) == _oracle_sorted(
                 records, groups, now, 1.0
             )
 

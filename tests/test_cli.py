@@ -452,8 +452,9 @@ def test_invalid_utf8_names_its_file_and_line(tmp_path, capsys, argv):
         '{"t":0,"seq":1,"kind":"sorted_list_snapshot","entries":5}',
         '{"t":0,"seq":1,"kind":"sorted_list_snapshot","entries":["x"]}',
         '{"t":0,"seq":1,"kind":"ring","caller":["x"]}',
+        '{"t":0,"seq":1,"kind":"forward_to_device","device_id":"d","alert":{}}',
     ],
-    ids=["entries_not_array", "entry_not_object", "caller_not_string"],
+    ids=["entries_not_array", "entry_not_object", "caller_not_string", "forward_of_no_alert"],
 )
 def test_report_rejects_ill_typed_payload(tmp_path, capsys, line):
     log = tmp_path / "log.jsonl"

@@ -94,7 +94,7 @@ def test_parse_rejects_out_of_order_timestamps():
     )
     with pytest.raises(ScenarioError) as err:
         parse_scenario(io.StringIO(text))
-    assert "line 2" in str(err.value)
+    assert str(err.value) == "line 2: timestamp 4 is earlier than the previous event at 5"
 
 
 def test_parse_names_the_bad_line_and_field():
@@ -151,6 +151,48 @@ def test_line_errors_are_exact(read, first, error, line, message):
     with pytest.raises(error) as err:
         read(io.StringIO(f"{first}\n{line}\n"))
     assert str(err.value) == f"line 2: {message}"
+
+
+_EVENT = '{"t":0,"type":"call_end"}'
+_ALERT = '{"t":0,"seq":1,"kind":"ring","caller":"c"}'
+
+
+@pytest.mark.parametrize(
+    "read, first, line, message",
+    [
+        (parse_scenario, _EVENT, '{"t":1}', "line 2: missing field 'type'"),
+        (parse_scenario, _EVENT, '{"t":1,"type":null}',
+         "line 2: field 'type' names an unknown event type: None"),
+        (parse_scenario, _EVENT, '{"t":1,"type":["call_end"]}',
+         "line 2: field 'type' names an unknown event type: ['call_end']"),
+        (parse_scenario, _EVENT, '{"t":1,"type":5}',
+         "line 2: field 'type' names an unknown event type: 5"),
+        (parse_scenario, _EVENT, '{"t":1,"type":"warp"}',
+         "line 2: field 'type' names an unknown event type: 'warp'"),
+        (parse_scenario, _EVENT, '{"t":-1,"type":"warp","x":1}',
+         "line 2: field 'type' names an unknown event type: 'warp'"),
+        (read_alert_log, _ALERT, '{"t":0,"seq":2}', "line 2: missing field 'kind'"),
+        (read_alert_log, _ALERT, '{"t":0,"seq":2,"kind":null}',
+         "line 2: field 'kind' names an unknown alert kind: None"),
+        (read_alert_log, _ALERT, '{"t":0,"seq":2,"kind":["ring"]}',
+         "line 2: field 'kind' names an unknown alert kind: ['ring']"),
+        (read_alert_log, _ALERT, '{"t":0,"seq":2,"kind":5}',
+         "line 2: field 'kind' names an unknown alert kind: 5"),
+        (read_alert_log, _ALERT, '{"t":0,"seq":2,"kind":"shout"}',
+         "line 2: field 'kind' names an unknown alert kind: 'shout'"),
+        (read_alert_log, _ALERT, '{"t":"x","seq":2,"kind":"shout","caller":7}',
+         "line 2: field 'kind' names an unknown alert kind: 'shout'"),
+    ],
+    ids=[
+        "event_missing", "event_null", "event_list", "event_number", "event_unknown",
+        "event_unknown_and_bad_t", "alert_missing", "alert_null", "alert_list", "alert_number",
+        "alert_unknown", "alert_unknown_and_bad_t",
+    ],
+)
+def test_tag_faults_are_exact(read, first, line, message):
+    with pytest.raises(ScenarioError if read is parse_scenario else AlertLogError) as err:
+        read(io.StringIO(f"{first}\n{line}\n"))
+    assert str(err.value) == message
 
 
 # -- basic runs ---------------------------------------------------------------
@@ -283,15 +325,11 @@ def test_battery_burst_snapshot_matches_sorter_state():
     snapshot = next(a for a in log.entries if a.kind == "sorted_list_snapshot")
     assert snapshot.t == 60_000
 
-    tally = MissedItemTally()
-    tally.add("b1", "call", 0)
-    tally.add("a1", "message", 2000)
     kb = load_kb_doc(doc)
-    expected = [
-        {"caller": caller, "kind": kind, "score": score}
-        for caller, kind, score in tally.snapshot(kb, 60_000, config.sorter_t_floor_min)
-    ]
-    assert snapshot.payload["entries"] == expected
+    tally = MissedItemTally()
+    tally.add("b1", "call", 0, kb.contact_group("b1"))
+    tally.add("a1", "message", 2000, kb.contact_group("a1"))
+    assert snapshot.payload["entries"] == tally.snapshot(60_000, config.sorter_t_floor_min)
 
 
 def test_battery_divert_replaces_ring_and_inform_reacts():
@@ -733,7 +771,8 @@ def test_rewriting_forwards_keeps_each_nested_key_order():
 
 
 # One line of every alert kind as a read-back log may hold it: keys out of
-# order in a nested alert, integer and float scores, non-ASCII and astral callers.
+# order in a nested alert, a nested float, integer and float scores, non-ASCII
+# and astral callers.
 _EVERY_KIND_LOG = (
     '{"t":0,"seq":1,"kind":"ring","caller":"Zoé"}\n'
     '{"t":1,"seq":2,"kind":"beep","caller":"\U0001f600 \\"q\\""}\n'
@@ -751,7 +790,8 @@ _EVERY_KIND_LOG = (
     '{"t":9,"seq":10,"kind":"battery_action","action":"inform_caller","caller":"c1"}\n'
     '{"t":9,"seq":11,"kind":"battery_action","destination":"+1-555","action":"send_status_sms"}\n'
     '{"t":60000,"seq":12,"kind":"forward_to_device","device_id":"d\U0001f4f1",'
-    '"alert":{"seq":1,"t":0,"caller":"Zoé","kind":"ring","extra":[1,{"b":2,"a":1.5}]}}\n'
+    '"alert":{"probability":1e-07,"seq":1,"t":0,"caller":"Zoé",'
+    '"kind":"radiation_precall_warning"}}\n'
     '{"t":60001,"seq":13,"kind":"sorted_list_snapshot","entries":['
     '{"score":3,"kind":"call","caller":"c3"},{"caller":"c1","kind":"call","score":1e-07},'
     '{"caller":"\U0001f600","kind":"message","score":1e+16},'
@@ -762,6 +802,7 @@ _EVERY_KIND_LOG = (
 def test_written_line_is_compact_json_dumps_for_every_kind():
     alerts = read_alert_log(io.StringIO(_EVERY_KIND_LOG))
     assert {alert.kind for alert in alerts} == set(ALERT_KINDS)
+    assert all(not {"t", "seq", "kind"} & alert.payload.keys() for alert in alerts)
     assert log_text(AlertLog(entries=alerts)).split("\n") == [
         json.dumps(alert.to_record(), separators=(",", ":")) for alert in alerts
     ] + [""]
@@ -794,6 +835,33 @@ def test_alert_table_covers_every_alert_kind():
         ('{"t":0,"seq":true,"kind":"ring","caller":"c"}', "field 'seq' must be an integer"),
         ('{"t":0,"seq":1,"kind":"battery_action","action":"shout"}', "field 'action'"),
         ('{"t":0,"seq":1,"kind":"forward_to_device","device_id":"d","alert":[]}', "field 'alert'"),
+        (
+            '{"t":0,"seq":1,"kind":"forward_to_device","device_id":"d","alert":{}}',
+            "field 'alert' is not a user-facing alert: missing field 'kind'",
+        ),
+        (
+            '{"t":9,"seq":2,"kind":"forward_to_device","device_id":"d","alert":'
+            '{"t":0,"seq":1,"kind":"prompt","prompt_id":"p1","callee":"c","reason":"dropped"}}',
+            "field 'alert' is not a user-facing alert: "
+            "field 'kind' names an unknown user-facing alert kind: 'prompt'",
+        ),
+        (
+            '{"t":9,"seq":3,"kind":"forward_to_device","device_id":"d","alert":'
+            '{"t":9,"seq":2,"kind":"forward_to_device","device_id":"d",'
+            '"alert":{"t":0,"seq":1,"kind":"ring","caller":"c"}}}',
+            "field 'alert' is not a user-facing alert: "
+            "field 'kind' names an unknown user-facing alert kind: 'forward_to_device'",
+        ),
+        (
+            '{"t":9,"seq":2,"kind":"forward_to_device","device_id":"d",'
+            '"alert":{"t":0,"seq":1,"kind":"ring"}}',
+            "field 'alert' is not a user-facing alert: missing field 'caller'",
+        ),
+        (
+            '{"t":9,"seq":2,"kind":"forward_to_device","device_id":"d",'
+            '"alert":{"t":0,"seq":1,"kind":"beep","caller":"c","x":1}}',
+            "field 'alert' is not a user-facing alert: unknown field 'x'",
+        ),
         (
             '{"t":0,"seq":1,"kind":"sorted_list_snapshot",'
             '"entries":[{"caller":"c","kind":"call"}]}',

@@ -21,7 +21,11 @@ def score(rec, group, now_ms):
 
 
 def rank(records, kb, now_ms):
-    return tally_of(records).snapshot(kb, now_ms, FLOOR)
+    return tally_of(records, kb).snapshot(now_ms, FLOOR)
+
+
+def entry(caller, kind, score):
+    return {"caller": caller, "kind": kind, "score": score}
 
 
 def test_score_group_a_one_call_one_minute():
@@ -37,16 +41,13 @@ def test_score_floor_clamps_fresh_items():
 
 
 def test_sort_empty():
-    assert MissedItemTally().snapshot(KnowledgeBase(), 0, FLOOR) == []
+    assert MissedItemTally().snapshot(0, FLOOR) == []
 
 
 def test_sort_two_records_highest_first():
     kb = kb_with({"a": Group.A, "d": Group.D})
     records = [record(caller="d", n=2, latest=0), record(caller="a", n=1, latest=0)]
-    ordered = rank(records, kb, now_ms=MIN_MS)
-    assert [entry[0] for entry in ordered] == ["a", "d"]
-    assert ordered[0][2] == 4.0
-    assert ordered[1][2] == 2.0
+    assert rank(records, kb, now_ms=MIN_MS) == [entry("a", "call", 4.0), entry("d", "call", 2.0)]
 
 
 def _oracle_sort(records, groups, now_ms, floor):
@@ -63,7 +64,7 @@ def _oracle_sort(records, groups, now_ms, floor):
         records,
         key=lambda r: (-score(r), -weight(r), -r.latest_time_ms, r.caller_id, r.kind),
     )
-    return [(r.caller_id, r.kind, score(r)) for r in ordered]
+    return [entry(r.caller_id, r.kind, score(r)) for r in ordered]
 
 
 def test_sort_matches_brute_force_oracle():
@@ -89,7 +90,7 @@ def test_sort_output_is_permutation_of_input():
         for i in range(30)
     ]
     ordered = rank(records, kb, now_ms=10 * MIN_MS)
-    assert sorted((c, k) for c, k, _ in ordered) == sorted(
+    assert sorted((e["caller"], e["kind"]) for e in ordered) == sorted(
         (r.caller_id, r.kind) for r in records
     )
 
@@ -102,15 +103,16 @@ def test_tie_breaks_weight_then_recency_then_id_then_kind():
         record(caller="a", n=3, latest=1000),  # 4*3/6 = 2.0 -> wins on weight
     ]
     now = 1000 + 6 * MIN_MS
-    assert [e[0] for e in rank(records, kb, now)] == ["a", "b"]
+    assert [e["caller"] for e in rank(records, kb, now)] == ["a", "b"]
 
     # "0a" sorts before "a", so only recency puts its older call last.
     fresh = [record(caller="a", n=1, latest=5_000), record(caller="0a", n=1, latest=2_000)]
     message = record(caller="a", kind="message", n=1, latest=5_000)
     ordered = rank(fresh + [message], kb, now_ms=30_000)
     # All clamp to the floor: same score, same weight; recency first, then kind.
-    assert [(c, k) for c, k, _ in ordered][:2] == [("a", "call"), ("a", "message")]
-    assert ordered[2][:2] == ("0a", "call")
+    assert [(e["caller"], e["kind"]) for e in ordered] == [
+        ("a", "call"), ("a", "message"), ("0a", "call")
+    ]
 
 
 def test_score_monotonicity_spot_checks():
@@ -125,28 +127,27 @@ def test_score_monotonicity_spot_checks():
 
 
 def test_tally_add_and_acknowledge():
+    group = KnowledgeBase().contact_group("c1")  # no contact entry: Group D, weight 1
     tally = MissedItemTally()
-    tally.add("c1", "call", 1000)
-    tally.add("c1", "call", 5000)
-    tally.add("c1", "message", 6000)
-    kb = KnowledgeBase()  # c1 has no contact entry: Group D, weight 1
+    tally.add("c1", "call", 1000, group)
+    tally.add("c1", "call", 5000, group)
+    tally.add("c1", "message", 6000, group)
     # Within the floor a record scores its count.
-    assert tally.snapshot(kb, 6000, FLOOR) == [("c1", "call", 2.0), ("c1", "message", 1.0)]
+    assert tally.snapshot(6000, FLOOR) == [entry("c1", "call", 2.0), entry("c1", "message", 1.0)]
     # Two minutes after the latest call, its two calls score 2 / 2.
-    scores = {(c, k): s for c, k, s in tally.snapshot(kb, 5000 + 2 * MIN_MS, FLOOR)}
-    assert scores[("c1", "call")] == 1.0
+    later = tally.snapshot(5000 + 2 * MIN_MS, FLOOR)
+    assert entry("c1", "call", 1.0) in later
 
     assert tally.acknowledge("c1", "call") is True
     assert tally.acknowledge("c1", "call") is False
-    remaining = tally.snapshot(kb, 6000, FLOOR)
-    assert len(remaining) == 1 and remaining[0][1] == "message"
+    assert tally.snapshot(6000, FLOOR) == [entry("c1", "message", 1.0)]
 
 
 def test_identical_inputs_sort_identically():
     kb = kb_with({"a": Group.A})
     records = [record(caller=f"c{i}", n=1 + i % 3, latest=i * 100) for i in range(25)]
     now = 50 * MIN_MS
-    tally = tally_of(records)
-    assert tally.snapshot(kb, now, FLOOR) == tally.snapshot(kb, now, FLOOR)
+    tally = tally_of(records, kb)
+    assert tally.snapshot(now, FLOOR) == tally.snapshot(now, FLOOR)
     # Arrival order does not reach the ranking.
     assert rank(records, kb, now) == rank(reversed(records), kb, now)

@@ -49,7 +49,7 @@ class TallyMachine(RuleBasedStateMachine):
     @rule(caller=st.sampled_from(CALLERS), kind=st.sampled_from(KINDS), step=STEP_MS)
     def add(self, caller, kind, step):
         self.t += step
-        self.tally.add(caller, kind, self.t)
+        self.tally.add(caller, kind, self.t, self.kb.contact_group(caller))
         entry = self.model.setdefault((caller, kind), [0, self.t])
         entry[0] += 1
         entry[1] = self.t
@@ -64,7 +64,7 @@ class TallyMachine(RuleBasedStateMachine):
         self.t += step
         records = [Record(c, k, n, latest) for (c, k), (n, latest) in self.model.items()]
         expected = _oracle_sorted(records, GROUPS, self.t, floor)
-        assert self.tally.snapshot(self.kb, self.t, floor) == expected
+        assert self.tally.snapshot(self.t, floor) == expected
 
 
 TIMEOUT_MS = 10_000
