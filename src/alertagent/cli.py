@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 invalid input (parse or validation failure),
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 from collections import Counter
 from pathlib import Path
@@ -127,6 +128,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # A string the engine accepted may hold characters stdout's encoding cannot
+    # show (or a lone surrogate); escape them as Python already does on stderr.
+    if isinstance(sys.stdout, io.TextIOWrapper):
+        sys.stdout.reconfigure(errors="backslashreplace")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -10,7 +10,6 @@ from .model import (
     AgentConfig,
     BatteryAction,
     BatteryActionSpec,
-    Fields,
     check_fields,
     need_int,
     need_str,
@@ -22,7 +21,7 @@ _INT = need_int(required=False)
 _NUMBER = need_type(float, required=False)  # read as a float, even when written as 1
 
 # Types only: AgentConfig holds the defaults and AgentConfig.validate the ranges.
-_CONFIG = Fields({
+_CONFIG = {
     "battery_critical_pct": _INT,
     "battery_rearm_pct": _INT,
     "safe_call_limit_ms": _INT,
@@ -32,9 +31,9 @@ _CONFIG = Fields({
     "tracker_timeout_ms": _INT,
     "sorter_t_floor_min": _NUMBER,
     "battery_actions": need_type(list, required=False),
-})
+}
 _ACTIONS = {a.value: a for a in BatteryAction}
-_ACTION = Fields({"kind": need_str(_ACTIONS), "destination": need_type(str, required=False)})
+_ACTION = {"kind": need_str(_ACTIONS), "destination": need_type(str, required=False)}
 
 
 def config_from_dict(doc: Any) -> AgentConfig:

@@ -28,7 +28,6 @@ from .model import (
     ALERT_KINDS,
     MAX_T,
     Contact,
-    Fields,
     Group,
     check_fields,
     need_choices,
@@ -56,24 +55,24 @@ def _signal_map(value: Any) -> str | None:
 # Per-field types and choices. The rules that span fields or objects (ids
 # non-empty, device ids unique, counts within [0, MAX_T], unsafe <= total) are in
 # KnowledgeBase.validate, which knowledge bases built in code go through too.
-_TOP = Fields({
+_TOP = {
     "contacts": need_type(list),
     "context_signals": (_signal_map, True),
     "devices": need_type(list),
     "safety_records": need_type(dict),
-})
-_CONTACT = Fields({
+}
+_CONTACT = {
     "id": need_type(str),
     "name": need_type(str),
     "group": need_str(_GROUPS),
     "temp_important": need_type(bool),
-})
-_DEVICE = Fields({
+}
+_DEVICE = {
     "device_id": need_type(str),
     "contexts": need_choices(_CONTEXTS),
     "kinds": need_choices(ALERT_KINDS),
-})
-_RECORD = Fields({"total": need_int(), "unsafe": need_int()})
+}
+_RECORD = {"total": need_int(), "unsafe": need_int()}
 
 
 @dataclass
@@ -148,6 +147,8 @@ class KnowledgeBase:
             if key != contact.id:
                 raise KnowledgeBaseError(f"contacts[{key!r}]: key does not match contact id")
         for caller_id, record in self.safety_records.items():
+            if not caller_id:
+                raise KnowledgeBaseError("safety_records['']: caller id must be non-empty")
             record.validate(caller_id)
         seen: set[str] = set()
         for index, device in enumerate(self.devices):

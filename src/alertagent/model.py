@@ -211,24 +211,15 @@ def need_type(kind: type, required: bool = True):
     return check, required
 
 
-class Fields(dict):
-    """A field table: maps each field an object may hold to (check, required).
+def fields_problem(obj: Any, fields: dict) -> str | None:
+    """What is wrong with ``obj`` against a field table, or None.
 
-    A check returns what is wrong with a value, or None. A required field must
-    be given; any other may be left out, and nothing fills it in. A table is
-    compiled once, when it is made, into the parts check_fields reads, and is
-    not changed afterwards.
+    A field table maps each field an object may hold to (check, required). A
+    check returns what is wrong with a value, or None. A required field must be
+    given; any other may be left out, and nothing fills it in. The walk is in
+    table order, so the problem named is the first one there; an unknown field
+    is named only when every known one passes.
     """
-
-    def __init__(self, fields: dict[str, tuple[Callable[[Any], Any], bool]]) -> None:
-        super().__init__(fields)
-        self.checks = {name: check for name, (check, _) in self.items()}
-        self.required = frozenset(name for name, (_, required) in self.items() if required)
-
-
-def fields_problem(obj: Any, fields: Fields) -> str | None:
-    """What is wrong with ``obj`` against a field table, or None. Walks the table,
-    so the problem named is the first one in table order."""
     if not isinstance(obj, dict):
         return "expected an object"
     known = 0
@@ -245,24 +236,12 @@ def fields_problem(obj: Any, fields: Fields) -> str | None:
     return None
 
 
-def check_fields(obj: Any, fields: Fields, where: str | int, error: type[InputError]) -> None:
-    """Raise ``error`` at ``where``, a line number or a path, if ``obj`` breaks ``fields``.
-
-    The same predicate as ``fields_problem``, on the compiled table: every key
-    known and its value passing its check, and every required field there (as
-    it is when the object holds every field). Only a fault walks the table.
-    """
-    if isinstance(obj, dict):
-        checks = fields.checks
-        for name, value in obj.items():
-            check = checks.get(name)
-            if check is None or check(value) is not None:
-                break
-        else:
-            if len(obj) == len(checks) or obj.keys() >= fields.required:
-                return
+def check_fields(obj: Any, fields: dict, where: str | int, error: type[InputError]) -> None:
+    """Raise ``error`` at ``where``, a line number or a path, naming the problem
+    ``fields_problem`` finds in ``obj``, if any."""
     problem = fields_problem(obj, fields)
-    raise error(f"{f'line {where}' if isinstance(where, int) else where}: {problem}")
+    if problem is not None:
+        raise error(f"{f'line {where}' if isinstance(where, int) else where}: {problem}")
 
 
 class Tagged(dict):
@@ -271,12 +250,11 @@ class Tagged(dict):
     or names no kind is checked against ``unknown``, which names the tag."""
 
     def __init__(self, tag: str, noun: str, common: dict, kinds: dict[str, dict]) -> None:
-        tables = {kind: Fields({**common, tag: need_str(), **own}) for kind, own in kinds.items()}
-        super().__init__(tables)
+        super().__init__({kind: {**common, tag: need_str(), **own} for kind, own in kinds.items()})
         self.tag = tag
-        self.unknown = Fields({tag: (lambda value: f"names an unknown {noun}: {value!r}", True)})
+        self.unknown = {tag: (lambda value: f"names an unknown {noun}: {value!r}", True)}
 
-    def table(self, obj: Any) -> Fields:
+    def table(self, obj: Any) -> dict:
         value = obj.get(self.tag) if isinstance(obj, dict) else None
         return self.get(value, self.unknown) if isinstance(value, str) else self.unknown
 
@@ -369,11 +347,11 @@ class Alert(NamedTuple):
         return record
 
 
-_SNAPSHOT_ENTRY = Fields({
+_SNAPSHOT_ENTRY = {
     "caller": need_str(),
     "kind": need_str(("call", "message")),
     "score": need_type(float),
-})
+}
 
 
 def _snapshot_entries(value: Any) -> str | None:

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -461,3 +464,37 @@ def test_report_rejects_ill_typed_payload(tmp_path, capsys, line):
     log.write_text(line + "\n", encoding="utf-8")
     assert main(["report", "--log", str(log)]) == 1
     _assert_input_error(capsys, log, line=1)
+
+
+_RING = '{"t":0,"seq":1,"kind":"ring","caller":%s}\n'
+
+
+@pytest.mark.parametrize(
+    "encoding, name, text, expected",
+    [
+        ("cp1252", "log.jsonl", _RING % '"名前"', r"  \u540d\u524d: calls=1 messages=0"),
+        ("utf-8", "log.jsonl", _RING % r'"\ud800"', r"  \ud800: calls=1 messages=0"),
+        (
+            "ascii", "café.jsonl", '{"t": 0, "type": "call_end"}\n',
+            r"scenario=caf\xe9 events=1 alerts=0 diagnostics=1",
+        ),
+    ],
+    ids=["report_cjk_cp1252", "report_lone_surrogate", "run_file_name_ascii"],
+)
+def test_stdout_escapes_what_its_encoding_cannot_show(tmp_path, encoding, name, text, expected):
+    """A string the engine accepted reaches stdout escaped, not as exit 2."""
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    if name == "log.jsonl":
+        argv = ["report", "--log", str(path)]
+    else:
+        kb = str(ROOT / "sample" / "kb.json")
+        argv = ["run", "--scenario", str(path), "--kb", kb, "--out", str(tmp_path / "out.jsonl")]
+    src = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "alertagent", *argv],
+        env={**os.environ, "PYTHONPATH": src, "PYTHONIOENCODING": encoding},
+        capture_output=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert expected in proc.stdout.decode("ascii").splitlines()

@@ -126,6 +126,10 @@ def test_record_call_keeps_invariant_over_random_sequences():
             kb_doc(devices=[{"device_id": "d", "contexts": [["Home"]], "kinds": ["ring"]}]),
             "context",
         ),
+        (
+            kb_doc(safety={"": {"total": 1, "unsafe": 0}}),
+            "safety_records['']: caller id must be non-empty",
+        ),
     ],
 )
 def test_malformed_documents_are_rejected(doc, fragment):

@@ -11,7 +11,6 @@ from alertagent.model import (
     BatteryAction,
     BatteryActionSpec,
     Event,
-    Fields,
     Group,
     check_fields,
     fields_problem,
@@ -92,14 +91,14 @@ def test_config_requires_destination_for_outbound_actions():
 
 
 _OK = {"name": "n", "kind": "a", "count": 1}
-_TABLE = Fields({
+_TABLE = {
     "name": need_str(),
     "kind": need_str(("a", "b")),
     "count": need_int(0, 9),
     "score": need_type(float, required=False),
     "on": need_type(bool, required=False),
     "tags": need_choices(("x", "y"), required=False),
-})
+}
 
 
 @pytest.mark.parametrize(
