@@ -119,32 +119,25 @@ def _encode(value: Any) -> str:
     return "".join(_C_ENCODER(value, 0)) if _C_ENCODER else _ENCODER.encode(value)
 
 
-def _forward_line(alert: Alert, forwarded: str) -> str:
-    """A forward's line around ``forwarded``, the text of the alert record it carries.
-
-    A forward's payload is exactly its device_id and alert (``ALERT_FIELDS``), so
-    its record's keys are t, seq, kind, alert, device_id, in that order.
-    """
-    device = encode_basestring_ascii(alert.payload["device_id"])
-    return (
-        f'{{"t":{alert.t},"seq":{alert.seq},"kind":"forward_to_device",'
-        f'"alert":{forwarded},"device_id":{device}}}'
-    )
-
-
 def _log_lines(entries: list[Alert]) -> Iterator[str]:
-    """Each alert's line: ``json.dumps(alert.to_record())``, compact. The forwards
-    of one due alert share one record object, so its text is encoded once for all
-    of them."""
+    """Each alert's line: compact ``json.dumps(alert.to_record())``, a snapshot's entries
+    being their JSON texts already. Forward and snapshot fields are spliced after t, seq
+    and kind; the forwards of one due alert share one record, encoded once for all."""
     record = text = None
     for alert in entries:
-        if alert.kind != "forward_to_device":
-            yield _encode(alert.to_record()) + "\n"
-        else:
+        kind = alert.kind
+        if kind == "forward_to_device":
             if alert.payload["alert"] is not record:
                 record = alert.payload["alert"]
                 text = _encode(record)
-            yield _forward_line(alert, text) + "\n"
+            device = encode_basestring_ascii(alert.payload["device_id"])
+            tail = f'"alert":{text},"device_id":{device}}}\n'
+        elif kind == "sorted_list_snapshot":
+            tail = f'"entries":[{",".join(alert.payload["entries"])}]}}\n'
+        else:
+            yield _encode(alert.to_record()) + "\n"
+            continue
+        yield f'{{"t":{alert.t},"seq":{alert.seq},"kind":"{kind}",{tail}'
 
 
 def write_alert_log(log: AlertLog, sink: str | Path | IO[str]) -> None:
@@ -153,9 +146,13 @@ def write_alert_log(log: AlertLog, sink: str | Path | IO[str]) -> None:
 
 
 def read_alert_log(source: str | Path | IO[str]) -> list[Alert]:
-    """Parse a written alert log back into Alert values (for reporting)."""
-    records = read_records(source, ALERT_FIELDS, AlertLogError)
-    return [Alert(t, rest.pop("seq"), kind, rest) for _, t, kind, rest in records]
+    """Parse a written alert log back into Alert values; a snapshot holds entry texts."""
+    alerts = []
+    for _, t, kind, rest in read_records(source, ALERT_FIELDS, AlertLogError):
+        if kind == "sorted_list_snapshot":
+            rest["entries"] = [_encode(entry) for entry in rest["entries"]]
+        alerts.append(Alert(t, rest.pop("seq"), kind, rest))
+    return alerts
 
 
 # ---------------------------------------------------------------------------
@@ -214,14 +211,8 @@ class Engine:
         self._emit("sorted_list_snapshot", {"entries": entries})
 
     def _emit_tracker(self, kind: str, task: TrackerTask) -> None:
-        self._emit(
-            kind,
-            {
-                "prompt_id": task.prompt_id,
-                "callee": task.callee_id,
-                "tracking_msg_id": task.tracking_msg_id,
-            },
-        )
+        self._emit(kind, {"prompt_id": task.prompt_id, "callee": task.callee_id,
+                          "tracking_msg_id": task.tracking_msg_id})
 
     # -- internal deadlines -------------------------------------------------
 

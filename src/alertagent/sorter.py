@@ -8,7 +8,8 @@ Highest score first.
 
 from __future__ import annotations
 
-from typing import Any
+import math
+from json.encoder import encode_basestring_ascii
 
 from .model import Group, group_weight
 
@@ -18,13 +19,14 @@ class MissedItemTally:
 
     def __init__(self) -> None:
         # (caller_id, kind) -> [count, latest_time_ms, weight of the group given at the
-        # first add]. A caller's group is fixed for a run, as contacts are.
-        self._items: dict[tuple[str, str], list[int]] = {}
+        # first add, its log entry's text up to the score]. A caller's group is fixed.
+        self._items: dict[tuple[str, str], list] = {}
 
     def add(self, caller_id: str, kind: str, t: int, group: Group) -> None:
         entry = self._items.get((caller_id, kind))
         if entry is None:
-            self._items[(caller_id, kind)] = [1, t, group_weight(group)]
+            prefix = f'{{"caller":{encode_basestring_ascii(caller_id)},"kind":"{kind}","score":'
+            self._items[(caller_id, kind)] = [1, t, group_weight(group), prefix]
         else:
             entry[0] += 1
             entry[1] = t
@@ -33,18 +35,22 @@ class MissedItemTally:
         """Drop the caller's record of that kind. True if one existed."""
         return self._items.pop((caller_id, kind), None) is not None
 
-    def snapshot(self, now_ms: int, t_floor_min: float) -> list[dict[str, Any]]:
-        """Rank the records as snapshot entries {caller, kind, score}, highest score first.
+    def snapshot(self, now_ms: int, t_floor_min: float) -> list[str]:
+        """Rank the records as the log's snapshot entries, highest score first: the
+        compact JSON text of each {caller, kind, score}.
 
-        Every score is strictly positive and finite. Ties break by higher group
-        weight, then more recent latest item, then caller id ascending, then
-        item kind (call before message); no two records share a caller and a
-        kind, so the order never depends on arrival order.
+        Ties break by higher group weight, then more recent latest item, then
+        caller id ascending, then item kind (call before message); no two records
+        share a caller and a kind, so the order never depends on arrival order.
+        A score that is not finite is not JSON: the highest, first, raises
+        ValueError, and a NaN floor makes every score NaN.
         """
         ranked = []
-        for (caller, kind), (count, latest, weight) in self._items.items():
-            score = weight * count / max(t_floor_min, (now_ms - latest) / 60000.0)
-            ranked.append((-score, -weight, -latest, caller, kind))
+        for key, (count, latest, weight, prefix) in self._items.items():
+            age = (now_ms - latest) / 60000.0
+            score = weight * count / (age if age > t_floor_min else t_floor_min)
+            ranked.append((-score, -weight, -latest, key, prefix))
         ranked.sort()
-        return [{"caller": caller, "kind": kind, "score": -neg_score}
-                for neg_score, _w, _l, caller, kind in ranked]
+        if ranked and not math.isfinite(ranked[0][0]):
+            raise ValueError(f"snapshot score {-ranked[0][0]!r} is not a finite number")
+        return [f"{prefix}{-neg_score!r}}}" for neg_score, _w, _l, _key, prefix in ranked]

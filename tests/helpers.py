@@ -99,7 +99,14 @@ def kb_with(groups: dict[str, Group]) -> KnowledgeBase:
     return KnowledgeBase(contacts={cid: Contact(cid, cid, group) for cid, group in groups.items()})
 
 
+def entry_dicts(entries: list[str]) -> list[dict[str, Any]]:
+    """A snapshot's entries as {caller, kind, score} dicts: the tally ranks each
+    into its log text, and a read-back log's snapshot holds the same texts."""
+    return [json.loads(entry) for entry in entries]
+
+
 def snapshot_score(record: Record, group: Group, now_ms: int, floor: float) -> float:
     """The score a snapshot gives one record whose caller is in ``group``."""
-    [entry] = tally_of([record], kb_with({record.caller_id: group})).snapshot(now_ms, floor)
+    tally = tally_of([record], kb_with({record.caller_id: group}))
+    [entry] = entry_dicts(tally.snapshot(now_ms, floor))
     return entry["score"]

@@ -22,6 +22,7 @@ from alertagent.tracker import CallerTracker
 from helpers import (
     Record,
     contact_doc,
+    entry_dicts,
     kb_doc,
     kinds_of,
     load_kb_doc,
@@ -122,7 +123,7 @@ def test_criterion_2_sorter_matches_brute_force_oracle():
                 )
                 for cid, kind in chosen
             ]
-            assert tally_of(records, kb).snapshot(now, 1.0) == _oracle_sorted(
+            assert entry_dicts(tally_of(records, kb).snapshot(now, 1.0)) == _oracle_sorted(
                 records, groups, now, 1.0
             )
 

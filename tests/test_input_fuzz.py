@@ -6,7 +6,8 @@ replaces one value anywhere in it with one from a small pool, deletes a key,
 or adds one, and then runs the CLI on the result: ``run`` for the three
 inputs of a run, ``report`` for the log. The exit code must be 0 or 1, and
 nothing may print ``internal error`` or a traceback. A ``run`` that exits 0
-must write a log that ``report`` reads with exit 0.
+must write a log that ``report`` reads with exit 0. A trial that runs past its
+deadline fails, naming the trial and its target, rather than hanging the suite.
 """
 
 from __future__ import annotations
@@ -14,8 +15,11 @@ from __future__ import annotations
 import copy
 import json
 import random
+import signal
 from pathlib import Path
 from typing import Any
+
+import pytest
 
 from alertagent.cli import main
 
@@ -23,6 +27,7 @@ from helpers import ROOT
 
 SEED = 20_131_004
 TRIALS = 600
+DEADLINE_S = 10  # a trial takes about 5 ms
 
 # Values of every JSON type, edge cases of each, and names the inputs use.
 POOL: list[Any] = [
@@ -82,28 +87,40 @@ def test_mutated_inputs_exit_0_or_1(tmp_path, capsys):
              for name, text in texts.items()}
     rng = random.Random(SEED)
     failures: list[str] = []
-    for trial in range(TRIALS):
-        target = rng.choice(sorted(paths))
-        lines = list(items[target])
-        index = rng.randrange(len(lines))
-        doc = json.loads(lines[index])
-        _mutate(rng, doc)
-        lines[index] = json.dumps(doc)
-        mutated = tmp_path / f"mutated-{target}"
-        mutated.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        inputs = {**paths, target: mutated}
-        if target == "log":
-            argv = ["report", "--log", str(mutated)]
-        else:
-            argv = ["run", "--scenario", str(inputs["scenario"]), "--kb", str(inputs["kb"]),
-                    "--config", str(inputs["config"]), "--out", str(tmp_path / "out.jsonl")]
-        code = main(argv)
-        err = capsys.readouterr().err
-        if code not in (0, 1) or "internal error" in err or "Traceback" in err:
-            failures.append(f"trial {trial} ({target}): exit {code}: {err.strip()}")
-        elif code == 0 and target != "log":
-            code = main(["report", "--log", str(tmp_path / "out.jsonl")])
-            if code != 0:
-                err = capsys.readouterr().err.strip()
-                failures.append(f"trial {trial} ({target}): report on its log: exit {code}: {err}")
+
+    def overdue(signum, frame):
+        pytest.fail(f"trial {trial} ({target}) still running after {DEADLINE_S} s")
+
+    previous = signal.signal(signal.SIGALRM, overdue)
+    try:
+        for trial in range(TRIALS):
+            target = rng.choice(sorted(paths))
+            signal.setitimer(signal.ITIMER_REAL, DEADLINE_S)
+            lines = list(items[target])
+            index = rng.randrange(len(lines))
+            doc = json.loads(lines[index])
+            _mutate(rng, doc)
+            lines[index] = json.dumps(doc)
+            mutated = tmp_path / f"mutated-{target}"
+            mutated.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            inputs = {**paths, target: mutated}
+            if target == "log":
+                argv = ["report", "--log", str(mutated)]
+            else:
+                argv = ["run", "--scenario", str(inputs["scenario"]), "--kb", str(inputs["kb"]),
+                        "--config", str(inputs["config"]), "--out", str(tmp_path / "out.jsonl")]
+            code = main(argv)
+            err = capsys.readouterr().err
+            if code not in (0, 1) or "internal error" in err or "Traceback" in err:
+                failures.append(f"trial {trial} ({target}): exit {code}: {err.strip()}")
+            elif code == 0 and target != "log":
+                code = main(["report", "--log", str(tmp_path / "out.jsonl")])
+                if code != 0:
+                    err = capsys.readouterr().err.strip()
+                    failures.append(
+                        f"trial {trial} ({target}): report on its log: exit {code}: {err}"
+                    )
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
     assert not failures, f"{len(failures)} of {TRIALS} trials failed; first: {failures[:3]}"

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import json
+import math
 import random
+
+import pytest
 
 from alertagent.kb import KnowledgeBase
 from alertagent.model import Group, group_weight
 from alertagent.sorter import MissedItemTally
 
-from helpers import Record, kb_with, snapshot_score, tally_of
+from helpers import Record, entry_dicts, kb_with, snapshot_score, tally_of
 
 MIN_MS = 60_000
 FLOOR = 1.0
@@ -21,7 +25,7 @@ def score(rec, group, now_ms):
 
 
 def rank(records, kb, now_ms):
-    return tally_of(records, kb).snapshot(now_ms, FLOOR)
+    return entry_dicts(tally_of(records, kb).snapshot(now_ms, FLOOR))
 
 
 def entry(caller, kind, score):
@@ -114,6 +118,36 @@ def test_tie_breaks_weight_then_recency_then_id_then_kind():
         ("a", "call"), ("a", "message"), ("0a", "call")
     ]
 
+    # A full tie goes by the raw caller id: "~" (U+007E) before "é" (U+00E9),
+    # though the escaped "\u00e9" would sort before "~".
+    tied = [record(caller="é", latest=1000), record(caller="~", latest=1000)]
+    assert [e["caller"] for e in rank(tied, kb, now_ms=30_000)] == ["~", "é"]
+
+
+def test_entry_text_is_compact_json_dumps():
+    # Callers the log must escape: a quote, a backslash, control characters,
+    # non-ASCII, an astral character and a lone surrogate.
+    callers = ['q"uote', "back\\slash", "ctl\x00\x1f\x7f", "Zoé", "\U0001f600", "\ud800"]
+    now = 7 * MIN_MS + 1234
+    records = [record(caller=c, kind=("call", "message")[i % 2], n=i + 1, latest=i * 999)
+               for i, c in enumerate(callers)]
+    texts = tally_of(records, kb_with({})).snapshot(now, FLOOR)
+    expected = [
+        json.dumps({"caller": r.caller_id, "kind": r.kind,
+                    "score": r.n / ((now - r.latest_time_ms) / 60000.0)}, separators=(",", ":"))
+        for r in reversed(records)
+    ]
+    assert texts == expected
+
+
+@pytest.mark.parametrize("floor", [5e-324, math.nan], ids=["inf", "nan"])
+def test_snapshot_refuses_a_non_finite_score(floor):
+    # A score becomes log text in the tally, and NaN or Infinity is not JSON.
+    # 1 / 5e-324 overflows to inf; a NaN floor makes every score NaN.
+    tally = tally_of([record(n=1, latest=0), record(caller="c2", n=2, latest=0)], kb_with({}))
+    with pytest.raises(ValueError, match="not a finite number"):
+        tally.snapshot(0, floor)
+
 
 def test_score_monotonicity_spot_checks():
     base = score(record(n=2, latest=0), Group.B, now_ms=5 * MIN_MS)
@@ -133,14 +167,16 @@ def test_tally_add_and_acknowledge():
     tally.add("c1", "call", 5000, group)
     tally.add("c1", "message", 6000, group)
     # Within the floor a record scores its count.
-    assert tally.snapshot(6000, FLOOR) == [entry("c1", "call", 2.0), entry("c1", "message", 1.0)]
+    assert entry_dicts(tally.snapshot(6000, FLOOR)) == [
+        entry("c1", "call", 2.0), entry("c1", "message", 1.0)
+    ]
     # Two minutes after the latest call, its two calls score 2 / 2.
-    later = tally.snapshot(5000 + 2 * MIN_MS, FLOOR)
+    later = entry_dicts(tally.snapshot(5000 + 2 * MIN_MS, FLOOR))
     assert entry("c1", "call", 1.0) in later
 
     assert tally.acknowledge("c1", "call") is True
     assert tally.acknowledge("c1", "call") is False
-    assert tally.snapshot(6000, FLOOR) == [entry("c1", "message", 1.0)]
+    assert entry_dicts(tally.snapshot(6000, FLOOR)) == [entry("c1", "message", 1.0)]
 
 
 def test_identical_inputs_sort_identically():

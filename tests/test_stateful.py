@@ -24,7 +24,7 @@ from alertagent.model import Group  # noqa: E402
 from alertagent.sorter import MissedItemTally  # noqa: E402
 from alertagent.tracker import CallerTracker  # noqa: E402
 
-from helpers import Record, kb_with  # noqa: E402
+from helpers import Record, entry_dicts, kb_with  # noqa: E402
 from test_acceptance import _oracle_sorted  # noqa: E402
 
 SETTINGS = settings(max_examples=100, stateful_step_count=30, deadline=None, derandomize=True)
@@ -64,7 +64,7 @@ class TallyMachine(RuleBasedStateMachine):
         self.t += step
         records = [Record(c, k, n, latest) for (c, k), (n, latest) in self.model.items()]
         expected = _oracle_sorted(records, GROUPS, self.t, floor)
-        assert self.tally.snapshot(self.t, floor) == expected
+        assert entry_dicts(self.tally.snapshot(self.t, floor)) == expected
 
 
 TIMEOUT_MS = 10_000
