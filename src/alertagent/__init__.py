@@ -8,33 +8,14 @@ and produces a reproducible alert log.
 
 from .context import Context, ContextEngine
 from .engine import (
-    AlertLog,
-    Engine,
-    Scenario,
-    parse_scenario,
-    read_alert_log,
-    run_scenario,
-    write_alert_log,
+    AlertLog, Engine, Scenario, parse_scenario, read_alert_log, run_scenario, write_alert_log,
 )
-from .errors import (
-    AlertLogError,
-    ConfigError,
-    InputError,
-    KnowledgeBaseError,
-    ScenarioError,
-)
+from .errors import AlertLogError, ConfigError, InputError, KnowledgeBaseError, ScenarioError
 from .forwarder import DeviceRegistration
 from .kb import KnowledgeBase, SafetyRecord, load_kb, save_kb
 from .config import load_config
 from .model import (
-    AgentConfig,
-    Alert,
-    BatteryAction,
-    BatteryActionSpec,
-    Contact,
-    Event,
-    Group,
-    group_weight,
+    AgentConfig, Alert, BatteryAction, BatteryActionSpec, Contact, Event, Group, group_weight,
 )
 from .sleep import alert_ordinal
 

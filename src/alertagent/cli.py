@@ -94,7 +94,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         print("callback list: no snapshot")
     else:
         print(f"callback list (snapshot at t={snapshot.t}):")
-        for rank, entry in enumerate(map(json.loads, snapshot.payload["entries"]), start=1):
+        for rank, entry in enumerate(json.loads(snapshot.payload["entries"]), start=1):
             print(f"  {rank}. {entry['caller']} ({entry['kind']}) score={entry['score']}")
     return EXIT_OK
 

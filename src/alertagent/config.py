@@ -7,13 +7,7 @@ from typing import IO, Any
 
 from .errors import ConfigError
 from .model import (
-    AgentConfig,
-    BatteryAction,
-    BatteryActionSpec,
-    check_fields,
-    need_int,
-    need_str,
-    need_type,
+    AgentConfig, BatteryAction, BatteryActionSpec, check_fields, need_int, need_str, need_type,
     read_json,
 )
 

@@ -121,8 +121,8 @@ def _encode(value: Any) -> str:
 
 def _log_lines(entries: list[Alert]) -> Iterator[str]:
     """Each alert's line: compact ``json.dumps(alert.to_record())``, a snapshot's entries
-    being their JSON texts already. Forward and snapshot fields are spliced after t, seq
-    and kind; the forwards of one due alert share one record, encoded once for all."""
+    being their JSON array text already. Forward and snapshot fields are spliced after t,
+    seq and kind; the forwards of one due alert share one record, encoded once for all."""
     record = text = None
     for alert in entries:
         kind = alert.kind
@@ -133,7 +133,7 @@ def _log_lines(entries: list[Alert]) -> Iterator[str]:
             device = encode_basestring_ascii(alert.payload["device_id"])
             tail = f'"alert":{text},"device_id":{device}}}\n'
         elif kind == "sorted_list_snapshot":
-            tail = f'"entries":[{",".join(alert.payload["entries"])}]}}\n'
+            tail = f'"entries":{alert.payload["entries"]}}}\n'
         else:
             yield _encode(alert.to_record()) + "\n"
             continue
@@ -146,11 +146,11 @@ def write_alert_log(log: AlertLog, sink: str | Path | IO[str]) -> None:
 
 
 def read_alert_log(source: str | Path | IO[str]) -> list[Alert]:
-    """Parse a written alert log back into Alert values; a snapshot holds entry texts."""
+    """Parse a written alert log back into Alert values; a snapshot holds its entries' text."""
     alerts = []
     for _, t, kind, rest in read_records(source, ALERT_FIELDS, AlertLogError):
         if kind == "sorted_list_snapshot":
-            rest["entries"] = [_encode(entry) for entry in rest["entries"]]
+            rest["entries"] = _encode(rest["entries"])
         alerts.append(Alert(t, rest.pop("seq"), kind, rest))
     return alerts
 

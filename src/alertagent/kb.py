@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import IO, Any
+from typing import IO, Any, Iterator
 
 from .context import Context
 from .errors import KnowledgeBaseError
@@ -188,42 +188,50 @@ def kb_from_dict(doc: Any) -> KnowledgeBase:
     return kb
 
 
-def _block(items: list[str], depth: int, brackets: str = "[]") -> str:
-    """Encoded ``items`` as an indented JSON array, or object with brackets "{}",
-    whose closing bracket is indented ``depth`` levels."""
-    if not items:
-        return brackets
-    between = ",\n" + "  " * (depth + 1)
-    return f"{brackets[0]}{between[1:]}{between.join(items)}\n{'  ' * depth}{brackets[1]}"
+def _strings(values: list[str]) -> str:
+    """A device's contexts or kinds as the canonical document lays them out."""
+    if not values:
+        return "[]"
+    return "[\n        " + ",\n        ".join(map(encode_basestring_ascii, values)) + "\n      ]"
+
+
+def _kb_chunks(kb: KnowledgeBase) -> Iterator[str]:
+    """The canonical document, byte for byte what ``json.dumps(doc, sort_keys=True,
+    indent=2) + "\\n"`` gives, one chunk per contact, device or safety record; before
+    Python 3.13 indent=2 makes json encode in pure Python, so the layout is written
+    here around json's C string encoder."""
+    s = encode_basestring_ascii
+    contacts = (
+        f'{{\n      "group": {s(c.group.value)},\n      "id": {s(c.id)},\n      "name": '
+        f'{s(c.display_name)},\n      "temp_important": {"true" if c.temp_important else "false"}'
+        "\n    }" for c in (kb.contacts[key] for key in sorted(kb.contacts))
+    )
+    signals = (f"{s(key)}: {s(c.value)}" for key, c in sorted(kb.context_signals.items()))
+    devices = (
+        f'{{\n      "contexts": {_strings(sorted(c.value for c in d.contexts))},\n      '
+        f'"device_id": {s(d.device_id)},\n      "kinds": {_strings(sorted(d.kinds))}\n    }}'
+        for d in kb.devices
+    )
+    records = (
+        f'{s(caller_id)}: {{\n      "total": {r.total_calls},\n      "unsafe": {r.unsafe_calls}'
+        "\n    }" for caller_id, r in sorted(kb.safety_records.items())
+    )
+    opening = "{\n"
+    for name, items, brackets in (("contacts", contacts, "[]"), ("context_signals", signals, "{}"),
+                                  ("devices", devices, "[]"), ("safety_records", records, "{}")):
+        yield f'{opening}  "{name}": {brackets[0]}'
+        between = "\n    "  # json.dumps writes an empty array or object as its brackets
+        for item in items:
+            yield between + item
+            between = ",\n    "
+        yield brackets[1] if between == "\n    " else f"\n  {brackets[1]}"
+        opening = ",\n"
+    yield "\n}\n"
 
 
 def kb_to_text(kb: KnowledgeBase) -> str:
-    """The canonical document, byte for byte what ``json.dumps(doc, sort_keys=True,
-    indent=2) + "\\n"`` gives; before Python 3.13 indent=2 makes json encode in
-    pure Python, so the layout is written here around json's C string encoder."""
-    s = encode_basestring_ascii
-    contacts = [
-        _block([f'"group": {s(c.group.value)}', f'"id": {s(c.id)}',
-                f'"name": {s(c.display_name)}',
-                f'"temp_important": {"true" if c.temp_important else "false"}'], 2, "{}")
-        for c in (kb.contacts[key] for key in sorted(kb.contacts))
-    ]
-    devices = [
-        _block([f'"contexts": {_block([s(v) for v in sorted(c.value for c in d.contexts)], 3)}',
-                f'"device_id": {s(d.device_id)}',
-                f'"kinds": {_block([s(k) for k in sorted(d.kinds)], 3)}'], 2, "{}")
-        for d in kb.devices
-    ]
-    signals = [f"{s(key)}: {s(c.value)}" for key, c in sorted(kb.context_signals.items())]
-    records = [
-        f"{s(caller_id)}: "
-        + _block([f'"total": {r.total_calls}', f'"unsafe": {r.unsafe_calls}'], 2, "{}")
-        for caller_id, r in sorted(kb.safety_records.items())
-    ]
-    return _block([f'"contacts": {_block(contacts, 1)}',
-                   f'"context_signals": {_block(signals, 1, "{}")}',
-                   f'"devices": {_block(devices, 1)}',
-                   f'"safety_records": {_block(records, 1, "{}")}'], 0, "{}") + "\n"
+    """The canonical document as one text: what ``save_kb`` writes."""
+    return "".join(_kb_chunks(kb))
 
 
 def load_kb(source: str | Path | IO[str]) -> KnowledgeBase:
@@ -232,5 +240,5 @@ def load_kb(source: str | Path | IO[str]) -> KnowledgeBase:
 
 
 def save_kb(kb: KnowledgeBase, sink: str | Path | IO[str]) -> None:
-    """Write the canonical form; identical inputs yield identical bytes."""
-    write_text(sink, [kb_to_text(kb)])
+    """Write the canonical form a chunk at a time; identical inputs yield identical bytes."""
+    write_text(sink, _kb_chunks(kb))

@@ -109,6 +109,21 @@ def read_json(source: str | Path | IO[str], error: type[InputError]) -> Any:
     return _decode(_read_text(source, error), error)
 
 
+def _key_count(value: dict) -> int:
+    """The keys of every object in a decoded JSON value, at every depth. A loop,
+    not recursion, so no depth the C scan reaches can exceed Python's call limit."""
+    count, stack = 0, [value]
+    while stack:
+        value = stack.pop()
+        if type(value) is dict:
+            count += len(value)
+            value = value.values()
+        for item in value:
+            if type(item) is dict or type(item) is list:
+                stack.append(item)
+    return count
+
+
 def read_json_lines(
     source: str | Path | IO[str], error: type[InputError]
 ) -> Iterator[tuple[int, dict[str, Any]]]:
@@ -119,11 +134,11 @@ def read_json_lines(
     (str.strip also strips U+00A0 and the like). Each line is decoded like
     ``read_json`` and must hold an object.
 
-    Each key in the text is followed by a colon outside any string. So a line
-    with as many colons as its object has keys repeats no key and has no key
-    in a nested object: the hook-free scan decodes it as ``_decode`` would.
-    Any other line, or one that scan fails on, is decoded again by
-    ``_decode``, which gives the same value or names the fault.
+    Each key in the text is followed by a colon outside any string, and a repeated
+    key leaves the value fewer keys than the text. So a line with as many colons
+    as its value has keys, at every depth, repeats no key: the hook-free scan
+    decodes it as ``_decode`` would. Any other line, or one that scan fails on, is
+    decoded again by ``_decode``, which gives the same value or names the fault.
     """
     for lineno, raw in enumerate(_read_text(source, error).split("\n"), start=1):
         line = raw.strip(" \t\r")
@@ -132,7 +147,8 @@ def read_json_lines(
                 obj, end = _SCAN_LINE(line, 0)
             except (StopIteration, ValueError, RecursionError):
                 obj = end = None
-            if not (isinstance(obj, dict) and end == len(line) and line.count(":") == len(obj)):
+            if not (isinstance(obj, dict) and end == len(line) and (
+                    (colons := line.count(":")) == len(obj) or colons == _key_count(obj))):
                 obj = _decode(line, error, lineno)
                 if not isinstance(obj, dict):
                     raise error(f"line {lineno}: expected a JSON object")

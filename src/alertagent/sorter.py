@@ -35,9 +35,9 @@ class MissedItemTally:
         """Drop the caller's record of that kind. True if one existed."""
         return self._items.pop((caller_id, kind), None) is not None
 
-    def snapshot(self, now_ms: int, t_floor_min: float) -> list[str]:
+    def snapshot(self, now_ms: int, t_floor_min: float) -> str:
         """Rank the records as the log's snapshot entries, highest score first: the
-        compact JSON text of each {caller, kind, score}.
+        compact JSON text of the array of {caller, kind, score}, "[]" when empty.
 
         Ties break by higher group weight, then more recent latest item, then
         caller id ascending, then item kind (call before message); no two records
@@ -53,4 +53,5 @@ class MissedItemTally:
         ranked.sort()
         if ranked and not math.isfinite(ranked[0][0]):
             raise ValueError(f"snapshot score {-ranked[0][0]!r} is not a finite number")
-        return [f"{prefix}{-neg_score!r}}}" for neg_score, _w, _l, _key, prefix in ranked]
+        texts = [f"{prefix}{-neg_score!r}}}" for neg_score, _w, _l, _key, prefix in ranked]
+        return "[" + ",".join(texts) + "]"

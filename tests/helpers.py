@@ -99,10 +99,10 @@ def kb_with(groups: dict[str, Group]) -> KnowledgeBase:
     return KnowledgeBase(contacts={cid: Contact(cid, cid, group) for cid, group in groups.items()})
 
 
-def entry_dicts(entries: list[str]) -> list[dict[str, Any]]:
-    """A snapshot's entries as {caller, kind, score} dicts: the tally ranks each
-    into its log text, and a read-back log's snapshot holds the same texts."""
-    return [json.loads(entry) for entry in entries]
+def entry_dicts(entries: str) -> list[dict[str, Any]]:
+    """A snapshot's entries as {caller, kind, score} dicts: the tally ranks them
+    into their JSON array text, and a read-back log's snapshot holds the same text."""
+    return json.loads(entries)
 
 
 def snapshot_score(record: Record, group: Group, now_ms: int, floor: float) -> float:

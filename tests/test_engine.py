@@ -319,7 +319,7 @@ def test_attending_a_ring_clears_the_missed_item():
     ]
     log, _ = run(lines)
     snapshot = next(a for a in log.entries if a.kind == "sorted_list_snapshot")
-    assert snapshot.payload["entries"] == []
+    assert snapshot.payload["entries"] == "[]"
 
 
 def test_attending_unknown_alert_is_a_diagnostic():

@@ -57,6 +57,19 @@ _CASES = [
     '{"t":0} x', "{}{}", '{"t":0}{"t":1}', '{"t":0', "[1]", '"s"', "5", "null", "x", ":",
     "[" * 100_000 + "]" * 100_000, '{"a":' * 100_000 + "1" + "}" * 100_000,
     "{}", '{"t":0,"type":"call_end"}', ' {"t" : 0}\t', '{"t":"\\ud800"}',
+    # Nested lines: whole log lines, colons inside nested strings and keys, and
+    # duplicate keys in nested objects and in objects inside arrays.
+    '{"t":0,"seq":1,"kind":"sorted_list_snapshot","entries":[{"caller":"c1","kind":"call",'
+    '"score":4.0},{"caller":"c\\"2","kind":"message","score":1e-07}]}',
+    '{"t":60000,"seq":2,"kind":"forward_to_device","alert":{"t":0,"seq":1,"kind":"ring",'
+    '"caller":"c1"},"device_id":"d1"}',
+    '{"t":0,"seq":1,"kind":"sorted_list_snapshot","entries":[]}',
+    '{"a":{"b":"c:d"}}', '{"a":[{"b":"::"}],"c":1}', '{"a":{"b:c":1}}', '{"a":[[{"b":"c:"}]]}',
+    '{"a":{"b\\u003a":"\\u003a"},"c":[{"d":"\\u003a"}]}',
+    '{"a":[{"b":1},{"b":2,"b":3}]}', '{"a":{"b":{"c":1}},"d":{"b":{"c":1,"c":2}}}',
+    '{"entries":[{"caller":"c","caller":"d","score":1}]}',
+    '{"a":{"b":1,"b":"x:y"}}',  # a lost key and a colon in a string, together
+    '{"a":' * 400 + "1" + "}" * 400, '{"a":' * 400 + '"b:"' + "}" * 400,
 ]
 
 
@@ -116,3 +129,34 @@ def test_seeded_lines_reach_both_decoders():
     )
     duplicates = sum(1 for kind, text in outcomes if kind == "error" and "duplicate key" in text)
     assert colon_proof > 100 and duplicates > 40
+
+
+def _text_keys(line: str) -> int:
+    """Keys written in a line, at every depth, a repeated key counted each time."""
+    count = 0
+
+    def pairs(items: list) -> dict:
+        nonlocal count
+        count += len(items)
+        return dict(items)
+
+    json.loads(line, object_pairs_hook=pairs)
+    return count
+
+
+def test_seeded_nested_lines_reach_both_decoders():
+    # Guards the generator: over the seeds, many lines that nest an object pass
+    # the colon test at every depth, and many repeat a key.
+    passed = duplicates = 0
+    for seed in range(4):
+        for line in (line.strip(" \t\r") for line in _seeded_lines(seed, 600)):
+            try:
+                obj = json.loads(line)  # the last of two equal keys wins
+            except ValueError:
+                continue
+            if not (isinstance(obj, dict) and any(isinstance(v, dict) for v in obj.values())):
+                continue
+            kind, text = _strict(line)
+            passed += kind == "value" and line.count(":") == _text_keys(line)
+            duplicates += kind == "error" and "duplicate key" in text
+    assert passed > 50 and duplicates > 100

@@ -208,6 +208,30 @@ def test_kb_to_text_is_json_dumps_on_the_bench_kbs(tmp_path, workload):
     assert_json_dumps_layout(kb)
 
 
+class _ChunkSink(io.StringIO):
+    """A text stream that records the length of each chunk written to it."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.sizes: list[int] = []
+
+    def write(self, text: str) -> int:
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+def test_save_kb_writes_a_busy_day_kb_in_small_chunks(tmp_path):
+    load_bench_gen().generate("busy_day", 1, tmp_path, 1.0)
+    kb = load_kb(tmp_path / "kb.json")
+    sink = _ChunkSink()
+    save_kb(kb, sink)
+    # One chunk per contact, device or safety record, never the whole document.
+    items = len(kb.contacts) + len(kb.devices) + len(kb.safety_records)
+    assert len(sink.sizes) > items > 1000
+    assert max(sink.sizes) < 4096
+    assert_same_text(sink.getvalue(), json.dumps(_plain(kb), sort_keys=True, indent=2) + "\n")
+
+
 # Characters JSON escapes or that sort differently once escaped.
 _AWKWARD = ["a", "Z", "0", " ", '"', "\\", "/", "\x00", "\x1f", "\n", "\x7f", "é", " ",
             "\U0001f600"]
