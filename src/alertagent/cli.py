@@ -8,16 +8,15 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import sys
 from collections import Counter
 from pathlib import Path
 
 from .config import load_config
-from .engine import parse_scenario, read_alert_log, run_scenario, write_alert_log
-from .errors import InputError
+from .engine import parse_scenario, run_scenario, write_alert_log
+from .errors import AlertLogError, InputError
 from .kb import load_kb, save_kb
-from .model import AgentConfig
+from .model import ALERT_FIELDS, AgentConfig, read_records
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 1
@@ -67,34 +66,39 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# The alert kinds that report a missed item, and its column: calls, messages.
+_MISSED = {"ring": 0, "suppress_note": 0, "beep": 1}
+
+
+def _summarize(path: str) -> tuple[Counter[str], dict[str, list[int]], tuple | None]:
+    """One pass that reads and checks the whole log: each alert kind's count, each
+    caller's missed [calls, messages], and the last snapshot's (t, entries)."""
+    kinds: Counter[str] = Counter()
+    missed: dict[str, list[int]] = {}
+    snapshot = None
+    for _, t, kind, rest in read_records(path, ALERT_FIELDS, AlertLogError):
+        kinds[kind] += 1
+        if kind in _MISSED:
+            missed.setdefault(rest["caller"], [0, 0])[_MISSED[kind]] += 1
+        elif kind == "sorted_list_snapshot":
+            snapshot = t, rest["entries"]
+    return kinds, missed, snapshot
+
+
 def cmd_report(args: argparse.Namespace) -> int:
-    alerts = _load_input(args.log, read_alert_log)
-
-    kind_counts = Counter(alert.kind for alert in alerts)
-    print(f"alerts: {len(alerts)}")
-    for kind in sorted(kind_counts):
-        print(f"  {kind}: {kind_counts[kind]}")
-
-    calls: Counter[str] = Counter()
-    messages: Counter[str] = Counter()
-    for alert in alerts:
-        if alert.kind in ("ring", "suppress_note"):
-            calls[alert.payload["caller"]] += 1
-        elif alert.kind == "beep":
-            messages[alert.payload["caller"]] += 1
-    if calls or messages:
+    kinds, missed, snapshot = _load_input(args.log, _summarize)
+    print(f"alerts: {kinds.total()}")
+    for kind in sorted(kinds):
+        print(f"  {kind}: {kinds[kind]}")
+    if missed:
         print("per-caller missed items:")
-        for caller in sorted(set(calls) | set(messages)):
-            print(f"  {caller}: calls={calls[caller]} messages={messages[caller]}")
-
-    snapshot = next(
-        (alert for alert in reversed(alerts) if alert.kind == "sorted_list_snapshot"), None
-    )
+        for caller, (calls, messages) in sorted(missed.items()):
+            print(f"  {caller}: calls={calls} messages={messages}")
     if snapshot is None:
         print("callback list: no snapshot")
     else:
-        print(f"callback list (snapshot at t={snapshot.t}):")
-        for rank, entry in enumerate(json.loads(snapshot.payload["entries"]), start=1):
+        print(f"callback list (snapshot at t={snapshot[0]}):")
+        for rank, entry in enumerate(snapshot[1], start=1):
             print(f"  {rank}. {entry['caller']} ({entry['kind']}) score={entry['score']}")
     return EXIT_OK
 

@@ -229,11 +229,6 @@ def _kb_chunks(kb: KnowledgeBase) -> Iterator[str]:
     yield "\n}\n"
 
 
-def kb_to_text(kb: KnowledgeBase) -> str:
-    """The canonical document as one text: what ``save_kb`` writes."""
-    return "".join(_kb_chunks(kb))
-
-
 def load_kb(source: str | Path | IO[str]) -> KnowledgeBase:
     """Parse and validate a knowledge-base document from a path or stream."""
     return kb_from_dict(read_json(source, KnowledgeBaseError))

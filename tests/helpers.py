@@ -1,4 +1,5 @@
-"""Shared builders for test inputs. Everything goes through the real parsers."""
+"""Shared builders for test inputs, through the real parsers, and ``replay``: the one
+way a test runs a scenario. Tests assert on the outputs it returns, as written."""
 
 from __future__ import annotations
 
@@ -12,9 +13,11 @@ from typing import Any, Iterable, NamedTuple
 
 import pytest
 
-from alertagent.engine import AlertLog, Scenario, parse_scenario, write_alert_log
-from alertagent.kb import KnowledgeBase, load_kb
-from alertagent.model import Contact, Group
+from alertagent.engine import (
+    AlertLog, Scenario, parse_scenario, read_alert_log, run_scenario, write_alert_log,
+)
+from alertagent.kb import KnowledgeBase, load_kb, save_kb
+from alertagent.model import AgentConfig, Alert, Contact, Group
 from alertagent.sorter import MissedItemTally
 
 
@@ -52,13 +55,54 @@ def load_kb_doc(doc: dict[str, Any]) -> KnowledgeBase:
 
 
 def make_scenario(lines: list[dict[str, Any]]) -> Scenario:
-    text = "\n".join(json.dumps(line) for line in lines) + "\n"
-    return parse_scenario(io.StringIO(text))
+    return parse_scenario(io.StringIO(_scenario_text(lines)))
 
 
-def log_text(log: AlertLog) -> str:
+def _scenario_text(lines: Iterable[dict[str, Any]]) -> str:
+    return "".join(json.dumps(line) + "\n" for line in lines)
+
+
+class Replay(NamedTuple):
+    """What one run writes: the alert log and the KB-out, and its diagnostics."""
+
+    log: str
+    kb_out: str
+    diagnostics: list[str]
+
+
+def replay(scenario: str | Iterable[dict], kb: dict | KnowledgeBase | None = None,
+           config: AgentConfig | None = None) -> Replay:
+    """Run a scenario, its JSON-lines text or its lines, through the calls
+    ``alertagent run`` makes; ``kb`` is a KB document or a loaded knowledge base
+    (empty by default), and ``config`` defaults to ``AgentConfig()``."""
+    text = scenario if isinstance(scenario, str) else _scenario_text(scenario)
+    if not isinstance(kb, KnowledgeBase):
+        kb = load_kb_doc(kb or kb_doc())
+    log, final_kb = run_scenario(parse_scenario(io.StringIO(text)), config or AgentConfig(), kb)
+    return Replay(log_text(log.entries), kb_text(final_kb), log.diagnostics)
+
+
+def records(log: str) -> list[dict[str, Any]]:
+    """Each line of a written alert log, decoded."""
+    return [json.loads(line) for line in log.splitlines()]
+
+
+def log_text(alerts: list[Alert]) -> str:
+    """The alert log ``write_alert_log`` writes for these alerts."""
     sink = io.StringIO()
-    write_alert_log(log, sink)
+    write_alert_log(AlertLog(entries=alerts), sink)
+    return sink.getvalue()
+
+
+def rewrite(log: str) -> str:
+    """A written alert log read back with ``read_alert_log`` and written again."""
+    return log_text(read_alert_log(io.StringIO(log)))
+
+
+def kb_text(kb: KnowledgeBase) -> str:
+    """The canonical document ``save_kb`` writes."""
+    sink = io.StringIO()
+    save_kb(kb, sink)
     return sink.getvalue()
 
 
@@ -71,8 +115,8 @@ def assert_same_text(actual: str, expected: str) -> None:
         pytest.fail(f"line {line}: got {got!r}, expected {want!r}")
 
 
-def kinds_of(log: AlertLog) -> list[str]:
-    return [alert.kind for alert in log.entries]
+def kinds_of(log: str) -> list[str]:
+    return [record["kind"] for record in records(log)]
 
 
 class Record(NamedTuple):

@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import io
 import itertools
+import json
 import random
 import time
 from contextlib import contextmanager
 
-from alertagent.engine import run_scenario
 from alertagent.forwarder import matching_devices
-from alertagent.kb import KnowledgeBase, SafetyRecord, kb_to_text, load_kb
+from alertagent.kb import KnowledgeBase, SafetyRecord, load_kb
 from alertagent.model import AgentConfig, Contact, Group, group_weight
 from alertagent.sleep import alert_ordinal
 from alertagent.tracker import CallerTracker
@@ -24,10 +24,12 @@ from helpers import (
     contact_doc,
     entry_dicts,
     kb_doc,
+    kb_text,
     kinds_of,
     load_kb_doc,
-    log_text,
     make_scenario,
+    records,
+    replay,
     snapshot_score,
     tally_of,
 )
@@ -66,13 +68,13 @@ def test_criterion_1_sleep_alert_ordinals():
                 lines.append({"t": t, "type": "call_start", "caller": cid})
                 lines.append({"t": t + 1000, "type": "call_end"})
                 t += 10_000
-        log, _ = run_scenario(make_scenario(lines), AgentConfig(), load_kb_doc(doc))
+        alerts = records(replay(lines, doc).log)
 
         ring_calls: dict[str, list[int]] = {}
         for cid in callers:
             decisions = [
-                a.kind for a in log.entries if a.payload.get("caller") == cid
-                and a.kind in ("ring", "suppress_note")
+                r["kind"] for r in alerts if r.get("caller") == cid
+                and r["kind"] in ("ring", "suppress_note")
             ]
             assert len(decisions) == 6
             ring_calls[cid] = [i + 1 for i, kind in enumerate(decisions) if kind == "ring"]
@@ -172,20 +174,21 @@ def test_criterion_4_radiation_boundaries():
                 {"t": 0, "type": "call_start", "caller": "c1", "safety": safety},
                 {"t": duration_ms, "type": "call_end"},
             ]
-            return run_scenario(make_scenario(lines), config, load_kb_doc(kb_doc()))
+            run = replay(lines, config=config)
+            return run.log, json.loads(run.kb_out)["safety_records"]["c1"]
 
-        log, kb = call(360_000, safety=False)
+        log, record = call(360_000, safety=False)
         assert "radiation_incall_warning" not in kinds_of(log)
-        assert (kb.safety_records["c1"].total_calls, kb.safety_records["c1"].unsafe_calls) == (1, 0)
+        assert (record["total"], record["unsafe"]) == (1, 0)
 
-        log, kb = call(420_000, safety=False)
-        warnings = [a for a in log.entries if a.kind == "radiation_incall_warning"]
-        assert len(warnings) == 1 and warnings[0].t == 360_000
-        assert kb.safety_records["c1"].unsafe_calls == 1
+        log, record = call(420_000, safety=False)
+        warnings = [r for r in records(log) if r["kind"] == "radiation_incall_warning"]
+        assert len(warnings) == 1 and warnings[0]["t"] == 360_000
+        assert record["unsafe"] == 1
 
-        log, kb = call(600_000, safety=True)
+        log, record = call(600_000, safety=True)
         assert "radiation_incall_warning" not in kinds_of(log)
-        assert kb.safety_records["c1"].unsafe_calls == 1  # main-timer rule
+        assert record["unsafe"] == 1  # main-timer rule
 
 
 # -- 5: subtimer invariant and crossing oracle ---------------------------------------
@@ -218,19 +221,19 @@ def test_criterion_6_battery_trigger_and_hysteresis():
         lines = [
             {"t": t, "type": "battery_level", "pct": pct} for t, pct in levels_first
         ]
-        log, _ = run_scenario(make_scenario(lines), config, load_kb_doc(kb_doc()))
-        snapshots = [a for a in log.entries if a.kind == "sorted_list_snapshot"]
-        actions = [a for a in log.entries if a.kind == "battery_action"]
-        assert len(snapshots) == 1 and snapshots[0].t == 3000  # at 3, not 4
-        assert len(actions) == 1 and actions[0].payload["action"] == "send_status_sms"
+        alerts = records(replay(lines, config=config).log)
+        snapshots = [r for r in alerts if r["kind"] == "sorted_list_snapshot"]
+        actions = [r for r in alerts if r["kind"] == "battery_action"]
+        assert len(snapshots) == 1 and snapshots[0]["t"] == 3000  # at 3, not 4
+        assert len(actions) == 1 and actions[0]["action"] == "send_status_sms"
 
         levels_again = levels_first + [(4000, 25), (5000, 3)]
         lines = [
             {"t": t, "type": "battery_level", "pct": pct} for t, pct in levels_again
         ]
-        log, _ = run_scenario(make_scenario(lines), config, load_kb_doc(kb_doc()))
-        snapshots = [a for a in log.entries if a.kind == "sorted_list_snapshot"]
-        assert [s.t for s in snapshots] == [3000, 5000]
+        alerts = records(replay(lines, config=config).log)
+        snapshots = [r for r in alerts if r["kind"] == "sorted_list_snapshot"]
+        assert [s["t"] for s in snapshots] == [3000, 5000]
 
 
 def load_config_with_sms() -> AgentConfig:
@@ -390,8 +393,7 @@ def test_criterion_8_determinism_of_mixed_runs():
     with criterion(8, "500-event scenario: 3 byte-identical runs", budget_s=5.0):
         rng = random.Random(500_500)
         lines = _mixed_scenario_lines(rng, 500)
-        scenario = make_scenario(lines)
-        assert len(scenario.events) == 500
+        assert len(make_scenario(lines).events) == 500
 
         doc = kb_doc(
             contacts=[
@@ -415,12 +417,13 @@ def test_criterion_8_determinism_of_mixed_runs():
         outputs = set()
         alert_count = 0
         for _ in range(3):
-            log, final_kb = run_scenario(scenario, config, kb)
-            outputs.add((log_text(log), kb_to_text(final_kb)))
-            alert_count = len(log.entries)
-            times = [a.t for a in log.entries]
+            run = replay(lines, kb, config)
+            outputs.add((run.log, run.kb_out))
+            alerts = records(run.log)
+            alert_count = len(alerts)
+            times = [r["t"] for r in alerts]
             assert times == sorted(times)
-            assert [a.seq for a in log.entries] == list(range(1, alert_count + 1))
+            assert [r["seq"] for r in alerts] == list(range(1, alert_count + 1))
         assert len(outputs) == 1
         assert alert_count > 50  # the mix genuinely exercises the subsystems
 
@@ -465,10 +468,10 @@ def test_criterion_9_kb_round_trip():
         rng = random.Random(900_900)
         for _ in range(200):
             kb = _random_kb(rng)
-            first = kb_to_text(kb)
+            first = kb_text(kb)
             loaded = load_kb(io.StringIO(first))
             assert loaded == kb
-            assert kb_to_text(loaded) == first
+            assert kb_text(loaded) == first
 
 
 # -- 10: forwarding rule ---------------------------------------------------------------
@@ -496,10 +499,8 @@ def test_criterion_10_forwarding_matches_oracle():
                 lines.append({"t": 30_000, "type": "notification_attended", "alert_id": 1})
             else:
                 lines.append({"t": 120_000, "type": "snapshot_request"})
-            log, _ = run_scenario(make_scenario(lines), AgentConfig(), kb)
-            return [
-                a.payload["device_id"] for a in log.entries if a.kind == "forward_to_device"
-            ]
+            alerts = records(replay(lines, kb).log)
+            return [r["device_id"] for r in alerts if r["kind"] == "forward_to_device"]
 
         for context_name in ("Home", "Workspace", "Driving", "Outdoor", "Unknown"):
             for use_message in (False, True):

@@ -186,6 +186,20 @@ def test_report_malformed_log_is_code_1(tmp_path, capsys):
     assert main(["report", "--log", str(log)]) == 1
 
 
+def test_report_prints_nothing_when_the_last_line_is_bad(tmp_path, capsys):
+    log = tmp_path / "log.jsonl"
+    log.write_text(
+        '{"t":0,"seq":1,"kind":"ring","caller":"c1"}\n'
+        '{"t":1,"seq":2,"kind":"sorted_list_snapshot","entries":[]}\n'
+        '{"t":2,"seq":3,"kind":"beep"}\n',
+        encoding="utf-8",
+    )
+    assert main(["report", "--log", str(log)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {log}: line 3: missing field 'caller'\n"
+
+
 def _assert_input_error(capsys, path, line=None):
     err = capsys.readouterr().err
     assert path.name in err

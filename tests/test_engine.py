@@ -1,22 +1,15 @@
 from __future__ import annotations
 
-import gc
 import io
 import json
 import math
 
 import pytest
 
-from alertagent.engine import (
-    AlertLog,
-    Engine,
-    parse_scenario,
-    read_alert_log,
-    run_scenario,
-    write_alert_log,
-)
+from alertagent.cli import main
+from alertagent.engine import parse_scenario, read_alert_log
 from alertagent.errors import AlertLogError, ScenarioError
-from alertagent.kb import SafetyRecord, kb_to_text
+from alertagent.kb import SafetyRecord
 from alertagent.model import (
     ALERT_KINDS,
     AgentConfig,
@@ -25,30 +18,32 @@ from alertagent.model import (
     BatteryActionSpec,
 )
 from alertagent.sorter import MissedItemTally
-from alertagent.tracker import TrackerTask
 
 from helpers import (
     contact_doc,
     entry_dicts,
     kb_doc,
+    kb_text,
     kinds_of,
     load_kb_doc,
     log_text,
-    make_scenario,
+    records,
+    replay,
+    rewrite,
 )
 
 
-def run(lines, kb_doc_dict=None, config=None):
-    kb = load_kb_doc(kb_doc_dict or kb_doc())
-    return run_scenario(make_scenario(lines), config or AgentConfig(), kb)
+def payload(record):
+    """A log record without its t, seq and kind."""
+    return {key: value for key, value in record.items() if key not in ("t", "seq", "kind")}
 
 
-def dumps(alert):
-    """``json.dumps`` of the alert's record, compact, a snapshot's entries decoded."""
-    record = alert.to_record()
-    if alert.kind == "sorted_list_snapshot":
-        record["entries"] = entry_dicts(record["entries"])
-    return json.dumps(record, separators=(",", ":"))
+def canonical(record):
+    """The compact ``json.dumps`` of a record with its keys in log order: t, seq,
+    kind, then the payload's keys sorted; nested values as they are."""
+    head = {key: record[key] for key in ("t", "seq", "kind")}
+    rest = payload(record)
+    return json.dumps(head | {key: rest[key] for key in sorted(rest)}, separators=(",", ":"))
 
 
 # -- parsing ----------------------------------------------------------------
@@ -216,9 +211,9 @@ def test_tag_faults_are_exact(read, first, line, message):
 
 def test_empty_scenario_changes_nothing():
     kb = load_kb_doc(kb_doc(contacts=[contact_doc("c1", "A")]))
-    log, final_kb = run_scenario(make_scenario([]), AgentConfig(), kb)
-    assert log.entries == [] and log.diagnostics == []
-    assert final_kb == kb
+    run = replay([], kb)
+    assert run.log == "" and run.diagnostics == []
+    assert run.kb_out == kb_text(kb)
 
 
 def test_input_kb_is_not_mutated():
@@ -229,38 +224,37 @@ def test_input_kb_is_not_mutated():
         {"t": 500_000, "type": "call_start", "caller": "c2"},
         {"t": 920_000, "type": "call_end"},
     ]
-    _, final_kb = run_scenario(make_scenario(lines), AgentConfig(), kb)
-    assert final_kb.safety_records["c2"] == SafetyRecord(total_calls=5, unsafe_calls=2)
+    kb_out = json.loads(replay(lines, kb).kb_out)
+    assert kb_out["safety_records"]["c2"] == {"total": 5, "unsafe": 2}
     # The caller with a record already in the input keeps its old counts.
     assert kb.safety_records == {"c2": SafetyRecord(total_calls=4, unsafe_calls=1)}
 
 
 def test_seven_minute_call_frozen_log():
-    log, final_kb = run(
+    run = replay(
         [
             {"t": 0, "type": "call_start", "caller": "c1"},
             {"t": 420_000, "type": "call_end"},
         ]
     )
-    assert log_text(log) == (
+    assert run.log == (
         '{"t":0,"seq":1,"kind":"ring","caller":"c1"}\n'
         '{"t":360000,"seq":2,"kind":"radiation_incall_warning","caller":"c1","exposure_ms":360000}\n'
     )
-    record = final_kb.safety_records["c1"]
-    assert (record.total_calls, record.unsafe_calls) == (1, 1)
+    assert json.loads(run.kb_out)["safety_records"]["c1"] == {"total": 1, "unsafe": 1}
 
 
 def test_alert_times_and_seqs_are_monotone():
-    log, _ = run(
+    alerts = records(replay(
         [
             {"t": 0, "type": "call_start", "caller": "c1"},
             {"t": 1000, "type": "call_end"},
             {"t": 2000, "type": "message_received", "caller": "c2"},
             {"t": 900_000, "type": "snapshot_request"},
         ]
-    )
-    times = [a.t for a in log.entries]
-    seqs = [a.seq for a in log.entries]
+    ).log)
+    times = [r["t"] for r in alerts]
+    seqs = [r["seq"] for r in alerts]
     assert times == sorted(times)
     assert seqs == sorted(set(seqs))
 
@@ -270,15 +264,15 @@ def test_alert_times_and_seqs_are_monotone():
 
 def test_precall_warning_fires_from_history():
     doc = kb_doc(safety={"c1": {"total": 4, "unsafe": 2}})
-    log, _ = run([{"t": 0, "type": "call_start", "caller": "c1"}], doc)
+    log = replay([{"t": 0, "type": "call_start", "caller": "c1"}], doc).log
     assert "radiation_precall_warning" in kinds_of(log)
-    warning = next(a for a in log.entries if a.kind == "radiation_precall_warning")
-    assert warning.payload == {"caller": "c1", "probability": 0.5}
+    warning = next(r for r in records(log) if r["kind"] == "radiation_precall_warning")
+    assert payload(warning) == {"caller": "c1", "probability": 0.5}
 
 
 def test_no_precall_warning_without_enough_history():
     doc = kb_doc(safety={"c1": {"total": 2, "unsafe": 2}})
-    log, _ = run([{"t": 0, "type": "call_start", "caller": "c1"}], doc)
+    log = replay([{"t": 0, "type": "call_start", "caller": "c1"}], doc).log
     assert "radiation_precall_warning" not in kinds_of(log)
 
 
@@ -291,7 +285,7 @@ def test_sleep_session_gates_calls_but_not_messages():
         lines.append({"t": t + 100, "type": "call_end"})
         t += 1000
     lines.append({"t": t, "type": "message_received", "caller": "d1"})
-    log, _ = run(lines, doc)
+    log = replay(lines, doc).log
     assert kinds_of(log) == ["suppress_note", "suppress_note", "suppress_note", "beep"]
 
 
@@ -303,11 +297,9 @@ def test_suppressed_calls_still_reach_the_callback_list():
         {"t": 1100, "type": "call_end"},
         {"t": 2000, "type": "snapshot_request"},
     ]
-    log, _ = run(lines, doc)
-    snapshot = next(a for a in log.entries if a.kind == "sorted_list_snapshot")
-    assert entry_dicts(snapshot.payload["entries"]) == [
-        {"caller": "d1", "kind": "call", "score": pytest.approx(1.0)}
-    ]
+    log = replay(lines, doc).log
+    snapshot = next(r for r in records(log) if r["kind"] == "sorted_list_snapshot")
+    assert snapshot["entries"] == [{"caller": "d1", "kind": "call", "score": pytest.approx(1.0)}]
 
 
 def test_attending_a_ring_clears_the_missed_item():
@@ -317,15 +309,15 @@ def test_attending_a_ring_clears_the_missed_item():
         {"t": 200, "type": "notification_attended", "alert_id": 1},
         {"t": 300, "type": "snapshot_request"},
     ]
-    log, _ = run(lines)
-    snapshot = next(a for a in log.entries if a.kind == "sorted_list_snapshot")
-    assert snapshot.payload["entries"] == "[]"
+    log = replay(lines).log
+    snapshot = next(r for r in records(log) if r["kind"] == "sorted_list_snapshot")
+    assert snapshot["entries"] == []
 
 
 def test_attending_unknown_alert_is_a_diagnostic():
-    log, _ = run([{"t": 0, "type": "notification_attended", "alert_id": 42}])
-    assert log.entries == []
-    assert any("unknown alert id 42" in note for note in log.diagnostics)
+    run = replay([{"t": 0, "type": "notification_attended", "alert_id": 42}])
+    assert run.log == ""
+    assert any("unknown alert id 42" in note for note in run.diagnostics)
 
 
 def test_battery_burst_snapshot_matches_sorter_state():
@@ -337,15 +329,16 @@ def test_battery_burst_snapshot_matches_sorter_state():
         {"t": 2000, "type": "message_received", "caller": "a1"},
         {"t": 60_000, "type": "battery_level", "pct": 3},
     ]
-    log, _ = run(lines, doc, config)
-    snapshot = next(a for a in log.entries if a.kind == "sorted_list_snapshot")
-    assert snapshot.t == 60_000
+    log = replay(lines, doc, config).log
+    snapshot = next(line for line in log.splitlines() if "sorted_list_snapshot" in line)
+    assert json.loads(snapshot)["t"] == 60_000
 
     kb = load_kb_doc(doc)
     tally = MissedItemTally()
     tally.add("b1", "call", 0, kb.contact_group("b1"))
     tally.add("a1", "message", 2000, kb.contact_group("a1"))
-    assert snapshot.payload["entries"] == tally.snapshot(60_000, config.sorter_t_floor_min)
+    # The snapshot's entries are written as the tally's text, byte for byte.
+    assert snapshot.endswith(f'"entries":{tally.snapshot(60_000, config.sorter_t_floor_min)}}}')
 
 
 def test_battery_divert_replaces_ring_and_inform_reacts():
@@ -363,17 +356,17 @@ def test_battery_divert_replaces_ring_and_inform_reacts():
         {"t": 3000, "type": "call_start", "caller": "b1"},
         {"t": 4000, "type": "call_end"},
     ]
-    log, _ = run(lines, doc, config)
-    kinds = kinds_of(log)
+    alerts = records(replay(lines, doc, config).log)
+    kinds = [r["kind"] for r in alerts]
     # Burst first: snapshot + one battery_action per configured action.
     assert kinds[:3] == ["sorted_list_snapshot", "battery_action", "battery_action"]
     # Group A call: inform + divert, no ring. Group B call: inform + ring.
-    a_alerts = [a for a in log.entries if a.payload.get("caller") == "a1"]
-    assert [a.kind for a in a_alerts] == ["battery_action", "battery_action"]
-    assert [a.payload["action"] for a in a_alerts] == ["inform_caller", "divert_group_a"]
-    assert a_alerts[1].payload["destination"] == "+1-999"
-    b_alerts = [a for a in log.entries if a.payload.get("caller") == "b1"]
-    assert [a.kind for a in b_alerts] == ["battery_action", "ring"]
+    a_alerts = [r for r in alerts if r.get("caller") == "a1"]
+    assert [r["kind"] for r in a_alerts] == ["battery_action", "battery_action"]
+    assert [r["action"] for r in a_alerts] == ["inform_caller", "divert_group_a"]
+    assert a_alerts[1]["destination"] == "+1-999"
+    b_alerts = [r for r in alerts if r.get("caller") == "b1"]
+    assert [r["kind"] for r in b_alerts] == ["battery_action", "ring"]
 
 
 def test_every_ring_or_suppress_maps_to_one_call():
@@ -388,8 +381,8 @@ def test_every_ring_or_suppress_maps_to_one_call():
         {"t": 4000, "type": "call_start", "caller": "d1"},
         {"t": 4100, "type": "call_end"},
     ]
-    log, _ = run(lines, doc)
-    decisions = [a for a in log.entries if a.kind in ("ring", "suppress_note")]
+    kinds = kinds_of(replay(lines, doc).log)
+    decisions = [kind for kind in kinds if kind in ("ring", "suppress_note")]
     calls = [l for l in lines if l["type"] == "call_start"]
     assert len(decisions) == len(calls)
 
@@ -404,10 +397,10 @@ def test_tracker_full_flow_through_engine():
         {"t": 5000, "type": "delivery_report", "tracking_msg_id": "m1", "positive": False},
         {"t": 9000, "type": "delivery_report", "tracking_msg_id": "m1", "positive": True},
     ]
-    log, _ = run(lines)
+    log = replay(lines).log
     assert kinds_of(log) == ["prompt", "tracker_message", "tracker_notify"]
-    notify = log.entries[-1]
-    assert notify.payload == {"prompt_id": "p1", "callee": "c3", "tracking_msg_id": "m1"}
+    notify = records(log)[-1]
+    assert payload(notify) == {"prompt_id": "p1", "callee": "c3", "tracking_msg_id": "m1"}
 
 
 def test_tracker_timeout_fires_during_drain():
@@ -415,10 +408,10 @@ def test_tracker_timeout_fires_during_drain():
         {"t": 0, "type": "call_failed", "callee": "c3", "reason": "switched_off"},
         {"t": 1000, "type": "user_response", "prompt_id": "p1", "answer": "yes"},
     ]
-    log, _ = run(lines)
+    log = replay(lines).log
     assert kinds_of(log) == ["prompt", "tracker_message", "tracker_expired"]
-    expired = log.entries[-1]
-    assert expired.t == 86_400_001  # created at t=0, strict timeout
+    expired = records(log)[-1]
+    assert expired["t"] == 86_400_001  # created at t=0, strict timeout
 
 
 def test_late_report_after_timeout_is_ignored():
@@ -427,8 +420,7 @@ def test_late_report_after_timeout_is_ignored():
         {"t": 1000, "type": "user_response", "prompt_id": "p1", "answer": "yes"},
         {"t": 90_000_000, "type": "delivery_report", "tracking_msg_id": "m1", "positive": True},
     ]
-    log, _ = run(lines)
-    assert kinds_of(log) == ["prompt", "tracker_message", "tracker_expired"]
+    assert kinds_of(replay(lines).log) == ["prompt", "tracker_message", "tracker_expired"]
 
 
 def test_late_report_for_a_minted_id_is_silent_and_any_other_id_is_a_diagnostic():
@@ -447,8 +439,8 @@ def test_late_report_for_a_minted_id_is_silent_and_any_other_id_is_a_diagnostic(
             for msg_id in unknown
         ),
     ]
-    log, _ = run(lines)
-    assert kinds_of(log) == [
+    run = replay(lines)
+    assert kinds_of(run.log) == [
         "prompt",
         "prompt",
         "tracker_message",
@@ -456,13 +448,14 @@ def test_late_report_for_a_minted_id_is_silent_and_any_other_id_is_a_diagnostic(
         "tracker_notify",
         "tracker_expired",
     ]
-    assert log.entries[-1].payload["tracking_msg_id"] == "m1"
-    assert log.diagnostics == [
+    assert records(run.log)[-1]["tracking_msg_id"] == "m1"
+    assert run.diagnostics == [
         f"t=4: delivery_report for unknown tracking id {msg_id!r}" for msg_id in unknown
     ]
 
 
 def test_settled_tracker_tasks_are_not_kept():
+    # Retention is checked on CallerTracker (test_tracker.py::test_settled_tasks_are_not_kept).
     lines = []
     for i in range(1000):
         t = 10 * i
@@ -476,18 +469,7 @@ def test_settled_tracker_tasks_are_not_kept():
                 "positive": True,
             },
         ]
-    scenario = make_scenario(lines)
-
-    def live_tasks() -> int:
-        gc.collect()
-        return sum(isinstance(obj, TrackerTask) for obj in gc.get_objects())
-
-    before = live_tasks()
-    engine = Engine(AgentConfig(), load_kb_doc(kb_doc()))
-    log = engine.run(scenario)
-    assert kinds_of(log).count("tracker_notify") == 1000
-    assert live_tasks() - before == 0
-    assert engine.tracker._open == {}
+    assert kinds_of(replay(lines).log).count("tracker_notify") == 1000
 
 
 def test_response_to_settled_prompt_goes_to_diagnostics():
@@ -496,9 +478,9 @@ def test_response_to_settled_prompt_goes_to_diagnostics():
         {"t": 1000, "type": "user_response", "prompt_id": "p1", "answer": "no"},
         {"t": 2000, "type": "user_response", "prompt_id": "p1", "answer": "yes"},
     ]
-    log, _ = run(lines)
-    assert kinds_of(log) == ["prompt"]
-    assert any("p1" in note for note in log.diagnostics)
+    run = replay(lines)
+    assert kinds_of(run.log) == ["prompt"]
+    assert any("p1" in note for note in run.diagnostics)
 
 
 # -- forwarding through the engine ----------------------------------------------
@@ -512,19 +494,22 @@ FORWARD_KB = kb_doc(
 )
 
 
+def forwards_of(log):
+    return [r for r in records(log) if r["kind"] == "forward_to_device"]
+
+
 def test_unattended_ring_forwards_at_the_deadline():
     lines = [
         {"t": 0, "type": "user_context", "context": "Home"},
         {"t": 1000, "type": "call_start", "caller": "c1"},
         {"t": 2000, "type": "call_end"},
     ]
-    log, _ = run(lines, FORWARD_KB)
-    forwards = [a for a in log.entries if a.kind == "forward_to_device"]
+    forwards = forwards_of(replay(lines, FORWARD_KB).log)
     assert len(forwards) == 1
-    assert forwards[0].t == 61_000
-    assert forwards[0].payload["device_id"] == "tv"
-    assert forwards[0].payload["alert"]["kind"] == "ring"
-    assert forwards[0].payload["alert"]["seq"] == 1
+    assert forwards[0]["t"] == 61_000
+    assert forwards[0]["device_id"] == "tv"
+    assert forwards[0]["alert"]["kind"] == "ring"
+    assert forwards[0]["alert"]["seq"] == 1
 
 
 def test_attended_alert_never_forwards():
@@ -534,8 +519,7 @@ def test_attended_alert_never_forwards():
         {"t": 2000, "type": "call_end"},
         {"t": 31_000, "type": "notification_attended", "alert_id": 1},
     ]
-    log, _ = run(lines, FORWARD_KB)
-    assert "forward_to_device" not in kinds_of(log)
+    assert "forward_to_device" not in kinds_of(replay(lines, FORWARD_KB).log)
 
 
 def test_forwarding_uses_context_at_the_deadline_instant():
@@ -548,9 +532,8 @@ def test_forwarding_uses_context_at_the_deadline_instant():
         {"t": 2000, "type": "call_end"},
         {"t": 30_000, "type": "user_context", "context": "Workspace"},
     ]
-    log, _ = run(lines, doc)
-    forwards = [a for a in log.entries if a.kind == "forward_to_device"]
-    assert [f.payload["device_id"] for f in forwards] == ["desk"]
+    forwards = forwards_of(replay(lines, doc).log)
+    assert [f["device_id"] for f in forwards] == ["desk"]
 
 
 def test_no_forwarding_while_context_unknown():
@@ -558,8 +541,11 @@ def test_no_forwarding_while_context_unknown():
         {"t": 1000, "type": "call_start", "caller": "c1"},
         {"t": 2000, "type": "call_end"},
     ]
-    log, _ = run(lines, FORWARD_KB)
-    assert "forward_to_device" not in kinds_of(log)
+    assert "forward_to_device" not in kinds_of(replay(lines, FORWARD_KB).log)
+
+
+def kinds_at(log, t):
+    return [r["kind"] for r in records(log) if r["t"] == t]
 
 
 def test_internal_deadline_fires_before_same_instant_event():
@@ -569,9 +555,7 @@ def test_internal_deadline_fires_before_same_instant_event():
         {"t": 2000, "type": "call_end"},
         {"t": 61_000, "type": "message_received", "caller": "c2"},
     ]
-    log, _ = run(lines, FORWARD_KB)
-    at_deadline = [a.kind for a in log.entries if a.t == 61_000]
-    assert at_deadline == ["forward_to_device", "beep"]
+    assert kinds_at(replay(lines, FORWARD_KB).log, 61_000) == ["forward_to_device", "beep"]
 
 
 def test_same_instant_deadlines_fire_by_subsystem():
@@ -585,8 +569,8 @@ def test_same_instant_deadlines_fire_by_subsystem():
         {"t": 300_000, "type": "message_received", "caller": "c2"},
         {"t": 400_000, "type": "call_end"},
     ]
-    log, _ = run(lines, doc, AgentConfig(tracker_timeout_ms=359_999))
-    at_instant = [a.kind for a in log.entries if a.t == 360_000]
+    log = replay(lines, doc, AgentConfig(tracker_timeout_ms=359_999)).log
+    at_instant = kinds_at(log, 360_000)
     assert at_instant == ["radiation_incall_warning", "tracker_expired", "forward_to_device"]
 
 
@@ -597,9 +581,9 @@ def test_same_instant_tracker_timeouts_fire_in_acceptance_order():
         {"t": 1, "type": "user_response", "prompt_id": "p2", "answer": "yes"},
         {"t": 2, "type": "user_response", "prompt_id": "p1", "answer": "yes"},
     ]
-    log, _ = run(lines, config=AgentConfig(tracker_timeout_ms=1000))
-    expired = [a for a in log.entries if a.kind == "tracker_expired"]
-    assert [(a.t, a.payload["prompt_id"]) for a in expired] == [(1001, "p2"), (1001, "p1")]
+    log = replay(lines, config=AgentConfig(tracker_timeout_ms=1000)).log
+    expired = [r for r in records(log) if r["kind"] == "tracker_expired"]
+    assert [(r["t"], r["prompt_id"]) for r in expired] == [(1001, "p2"), (1001, "p1")]
 
 
 def test_attendance_at_the_deadline_instant_is_too_late():
@@ -609,74 +593,71 @@ def test_attendance_at_the_deadline_instant_is_too_late():
         {"t": 2000, "type": "call_end"},
         {"t": 61_000, "type": "notification_attended", "alert_id": 1},
     ]
-    log, _ = run(lines, FORWARD_KB)
-    assert "forward_to_device" in kinds_of(log)
+    assert "forward_to_device" in kinds_of(replay(lines, FORWARD_KB).log)
 
 
 # -- exposure warnings through the engine ---------------------------------------
 
 
 def test_warning_skipped_when_call_ends_exactly_on_the_limit():
-    log, final_kb = run(
+    run = replay(
         [
             {"t": 0, "type": "call_start", "caller": "c1"},
             {"t": 360_000, "type": "call_end"},
         ]
     )
-    assert "radiation_incall_warning" not in kinds_of(log)
-    record = final_kb.safety_records["c1"]
-    assert (record.total_calls, record.unsafe_calls) == (1, 0)
+    assert "radiation_incall_warning" not in kinds_of(run.log)
+    assert json.loads(run.kb_out)["safety_records"]["c1"] == {"total": 1, "unsafe": 0}
 
 
 def test_warning_skipped_when_safety_starts_exactly_on_the_limit():
-    log, _ = run(
+    log = replay(
         [
             {"t": 0, "type": "call_start", "caller": "c1"},
             {"t": 360_000, "type": "safety_mode_enter"},
             {"t": 400_000, "type": "call_end"},
         ]
-    )
+    ).log
     assert "radiation_incall_warning" not in kinds_of(log)
 
 
 def test_warning_fires_when_unrelated_event_shares_the_instant():
-    log, _ = run(
+    log = replay(
         [
             {"t": 0, "type": "call_start", "caller": "c1"},
             {"t": 360_000, "type": "message_received", "caller": "c2"},
             {"t": 400_000, "type": "call_end"},
         ]
-    )
-    at_limit = [a.kind for a in log.entries if a.t == 360_000]
-    assert at_limit == ["radiation_incall_warning", "beep"]
+    ).log
+    assert kinds_at(log, 360_000) == ["radiation_incall_warning", "beep"]
 
 
 def test_open_call_at_scenario_end_is_abandoned():
-    log, final_kb = run([{"t": 0, "type": "call_start", "caller": "c1"}])
-    warnings = [a for a in log.entries if a.kind == "radiation_incall_warning"]
-    assert warnings == []
-    assert final_kb.safety_records == {}
-    assert any("still active" in note for note in log.diagnostics)
+    run = replay([{"t": 0, "type": "call_start", "caller": "c1"}])
+    assert "radiation_incall_warning" not in kinds_of(run.log)
+    assert json.loads(run.kb_out)["safety_records"] == {}
+    assert any("still active" in note for note in run.diagnostics)
 
 
 def test_overlapping_call_start_goes_to_diagnostics():
-    log, final_kb = run(
+    run = replay(
         [
             {"t": 0, "type": "call_start", "caller": "c1"},
             {"t": 1000, "type": "call_start", "caller": "c2"},
             {"t": 2000, "type": "call_end"},
         ]
     )
-    assert any("another call is active" in note for note in log.diagnostics)
+    assert any("another call is active" in note for note in run.diagnostics)
     # The overlapping call still rings and still counts as a missed item.
-    assert kinds_of(log).count("ring") == 2
-    assert "c1" in final_kb.safety_records and "c2" not in final_kb.safety_records
+    assert kinds_of(run.log).count("ring") == 2
+    safety = json.loads(run.kb_out)["safety_records"]
+    assert "c1" in safety and "c2" not in safety
 
 
 def test_safety_transition_outside_a_call_is_a_diagnostic():
-    log, _ = run([{"t": 0, "type": "safety_mode_enter"}])
-    assert log.entries == []
-    assert any("no active call" in note for note in log.diagnostics)
+    run = replay([{"t": 0, "type": "safety_mode_enter"}])
+    assert run.log == ""
+    assert any("no active call" in note for note in run.diagnostics)
 
 
 # -- determinism and log io -----------------------------------------------------
@@ -691,8 +672,8 @@ def test_same_scenario_runs_identically():
     ]
     outputs = set()
     for _ in range(3):
-        log, final_kb = run(lines, doc)
-        outputs.add(log_text(log) + "|" + kb_to_text(final_kb))
+        run = replay(lines, doc)
+        outputs.add(run.log + "|" + run.kb_out)
     assert len(outputs) == 1
 
 
@@ -702,43 +683,41 @@ def test_alert_log_round_trip():
         {"t": 100, "type": "call_end"},
         {"t": 200, "type": "snapshot_request"},
     ]
-    log, _ = run(lines)
-    text = log_text(log)
-    parsed = read_alert_log(io.StringIO(text))
+    log = replay(lines).log
+    parsed = read_alert_log(io.StringIO(log))
     assert [(a.t, a.seq, a.kind) for a in parsed] == [
-        (a.t, a.seq, a.kind) for a in log.entries
+        (r["t"], r["seq"], r["kind"]) for r in records(log)
     ]
-    assert parsed[-1].payload["entries"] == log.entries[-1].payload["entries"]
+    assert log.splitlines()[-1].endswith(f'"entries":{parsed[-1].payload["entries"]}}}')
 
 
 def test_write_alert_log_gives_a_path_the_same_bytes_as_a_stream(tmp_path):
     lines = [
         {"t": 0, "type": "call_start", "caller": "c1"},
         {"t": 100, "type": "call_end"},
-        {"t": 150, "type": "message_received", "caller": "Zo\u00e9"},
+        {"t": 150, "type": "message_received", "caller": "Zoé"},
         {"t": 200, "type": "snapshot_request"},
     ]
-    log, _ = run(lines)
-    path, stream = tmp_path / "log.jsonl", io.StringIO()
-    write_alert_log(log, path)
-    write_alert_log(log, stream)
-    assert stream.getvalue() == "".join(dumps(alert) + "\n" for alert in log.entries)
-    assert path.read_bytes() == stream.getvalue().encode("utf-8")
-    assert len(log.entries) == 3 and path.read_bytes().isascii()
+    log = replay(lines).log
+    scenario, kb, path = tmp_path / "scenario.jsonl", tmp_path / "kb.json", tmp_path / "log.jsonl"
+    scenario.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    kb.write_text(json.dumps(kb_doc()), encoding="utf-8")
+    assert main(["run", "--scenario", str(scenario), "--kb", str(kb), "--out", str(path)]) == 0
+    assert log == "".join(canonical(r) + "\n" for r in records(log))
+    assert path.read_bytes() == log.encode("utf-8")
+    assert len(records(log)) == 3 and path.read_bytes().isascii()
 
 
 def test_rewriting_a_read_log_sorts_top_level_keys_and_keeps_nested_ones():
     text = (
-        '{"t":0,"seq":1,"kind":"ring","caller":"Zo\u00e9"}\n'
+        '{"t":0,"seq":1,"kind":"ring","caller":"Zoé"}\n'
         '{"kind":"suppress_note", "ring_at":2,"t":7,"count":1,"seq":2,"caller":"c3"}\n'
         '{"t":60000,"seq":3,"kind":"forward_to_device","device_id":"d1",'
         '"alert":{"seq":1,"t":0,"caller":"c1","kind":"ring"}}\n'
         '{"t":60001,"seq":4,"kind":"sorted_list_snapshot",'
         '"entries":[{"score":3,"kind":"call","caller":"c3"}]}\n'
     )
-    out = io.StringIO()
-    write_alert_log(AlertLog(entries=read_alert_log(io.StringIO(text))), out)
-    assert out.getvalue() == (
+    assert rewrite(text) == (
         '{"t":0,"seq":1,"kind":"ring","caller":"Zo\\u00e9"}\n'
         '{"t":7,"seq":2,"kind":"suppress_note","caller":"c3","count":1,"ring_at":2}\n'
         '{"t":60000,"seq":3,"kind":"forward_to_device",'
@@ -757,17 +736,16 @@ def test_forwards_of_one_due_alert_are_each_compact_json_dumps():
     )
     lines = [
         {"t": 0, "type": "user_context", "context": "Home"},
-        {"t": 1000, "type": "message_received", "caller": "Zo\u00e9"},
+        {"t": 1000, "type": "message_received", "caller": "Zoé"},
         {"t": 2000, "type": "message_received", "caller": "c2"},
     ]
-    log, _ = run(lines, doc)
-    forwards = [a for a in log.entries if a.kind == "forward_to_device"]
+    log = replay(lines, doc).log
+    forwards = forwards_of(log)
     assert len(forwards) == 6
-    assert forwards[0].payload["alert"] is forwards[2].payload["alert"]
-    assert forwards[2].payload["alert"] is not forwards[3].payload["alert"]
-    assert log_text(log).splitlines() == [
-        json.dumps(alert.to_record(), separators=(",", ":")) for alert in log.entries
-    ]
+    assert forwards[0]["alert"] == forwards[2]["alert"]
+    assert forwards[2]["alert"] != forwards[3]["alert"]
+    assert all(list(f["alert"]) == ["t", "seq", "kind", "caller"] for f in forwards)
+    assert log.splitlines() == [canonical(r) for r in records(log)]
 
 
 def test_rewriting_forwards_keeps_each_nested_key_order():
@@ -779,9 +757,7 @@ def test_rewriting_forwards_keeps_each_nested_key_order():
     )
     alerts = read_alert_log(io.StringIO(text))
     assert alerts[0].payload["alert"] == alerts[1].payload["alert"]
-    out = io.StringIO()
-    write_alert_log(AlertLog(entries=alerts), out)
-    assert out.getvalue() == text
+    assert log_text(alerts) == text
 
 
 def test_rewriting_snapshots_keeps_each_entry_as_written():
@@ -797,9 +773,7 @@ def test_rewriting_snapshots_keeps_each_entry_as_written():
     assert entry_dicts(alerts[0].payload["entries"])[0] == {
         "score": 2, "kind": "call", "caller": 'q"é'
     }
-    out = io.StringIO()
-    write_alert_log(AlertLog(entries=alerts), out)
-    assert out.getvalue() == text
+    assert log_text(alerts) == text
 
 
 # One line of every alert kind as a read-back log may hold it: keys out of
@@ -835,16 +809,16 @@ def test_written_line_is_compact_json_dumps_for_every_kind():
     alerts = read_alert_log(io.StringIO(_EVERY_KIND_LOG))
     assert {alert.kind for alert in alerts} == set(ALERT_KINDS)
     assert all(not {"t", "seq", "kind"} & alert.payload.keys() for alert in alerts)
-    assert log_text(AlertLog(entries=alerts)).split("\n") == [dumps(a) for a in alerts] + [""]
+    assert log_text(alerts).split("\n") == [canonical(r) for r in records(_EVERY_KIND_LOG)] + [""]
 
 
 @pytest.mark.parametrize("score", [math.inf, -math.inf, math.nan])
 def test_written_log_refuses_a_non_finite_number(score):
     # A snapshot's scores become text in the tally, which refuses them there
     # (test_sorter); every other number is written by the encoder.
-    payload = {"caller": "c1", "probability": score}
+    warning = Alert(0, 1, "radiation_precall_warning", {"caller": "c1", "probability": score})
     with pytest.raises(ValueError):
-        log_text(AlertLog(entries=[Alert(0, 1, "radiation_precall_warning", payload)]))
+        log_text([warning])
 
 
 def test_alert_table_covers_every_alert_kind():

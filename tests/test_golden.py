@@ -5,6 +5,7 @@ example in ``sample/`` plus the benchmark generator's three workloads at
 seeds 1-3 and scale 0.2. The generated scenario's own hash is pinned too, so
 that a change in the generator shows apart from a change in the engine (the
 generator replays the scenario once with this engine to name attendance ids).
+So is the stdout of ``alertagent report`` over each case's log.
 """
 
 from __future__ import annotations
@@ -19,10 +20,9 @@ import pytest
 
 from alertagent.cli import main
 from alertagent.config import load_config
-from alertagent.engine import parse_scenario, run_scenario, write_alert_log
-from alertagent.kb import load_kb, save_kb
+from alertagent.kb import load_kb
 
-from helpers import ROOT, load_bench_gen
+from helpers import ROOT, load_bench_gen, replay
 
 SCALE = 0.2
 
@@ -82,8 +82,24 @@ GOLDEN = {
 }
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+# case -> sha256 of ``alertagent report``'s stdout over the case's log.
+REPORT = {
+    "sample": "28ba53233eeccfc32db309c75cbd618611036964ad3569ca192928c1e1a40204",
+    "busy_day-1": "423ed83c76114eb70fc7149ba6e607d9ed1829e6fdb99d2e6de028fc84a5afc1",
+    "busy_day-2": "db53c13b0f5443f26d52931b9235f2246e5c3599f58953fd69973b996994efcf",
+    "busy_day-3": "9ad4c44f57ac7e3c7a77f439c54db046dea2783fc859cfdeeb0f69908df0cef7",
+    "callback_snapshots-1": "23059bb5fba6061a3b03b542e87d4fd603134494a94fbe36382931ae3fa9bfd3",
+    "callback_snapshots-2": "ca6a783aa3a6cc23095f4b4d69aba39f1733f80939d603f212e3dacf5d7a2379",
+    "callback_snapshots-3": "085198fecad0d6fb7cd8355361f13a68dfe8dfe242f3254749670d1d4c2bef8c",
+    "unreachable_callees-1": "f9accaa0ee400297b2b457cc681245276dd3f696260340e005f62e0f363bbe53",
+    "unreachable_callees-2": "329d70d42f5552fed227d8cfe21ffa400711a158020d2d23cb556c983ab98693",
+    "unreachable_callees-3": "6b447e6385828f577595032c2f57f79df4c9a0f59099b2f1ffe8c58c5388ec99",
+}
+
+
+def _sha256(of: str | Path) -> str:
+    """The sha256 of a text, as UTF-8, or of a file's bytes."""
+    return hashlib.sha256(of.read_bytes() if isinstance(of, Path) else of.encode()).hexdigest()
 
 
 def _inputs(case: str, tmp_path: Path) -> Path:
@@ -108,26 +124,25 @@ def _run_argv(inputs: Path, out: Path) -> list[str]:
     ]
 
 
-def _replay(inputs: Path, outputs: Path) -> tuple[str, str]:
-    """Run the way ``alertagent run`` does; returns the log and kb-out sha256."""
-    log, kb = run_scenario(
-        parse_scenario(inputs / "scenario.jsonl"),
-        load_config(inputs / "config.json"),
-        load_kb(inputs / "kb.json"),
-    )
-    outputs.mkdir(parents=True, exist_ok=True)
-    write_alert_log(log, outputs / "log.jsonl")
-    save_kb(kb, outputs / "kb.json")
-    return _sha256(outputs / "log.jsonl"), _sha256(outputs / "kb.json")
-
-
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_golden_outputs(case, tmp_path):
     scenario_sha, log_sha, kb_sha = GOLDEN[case]
     inputs = _inputs(case, tmp_path)
     if scenario_sha is not None:
         assert _sha256(inputs / "scenario.jsonl") == scenario_sha, "generator drift"
-    assert _replay(inputs, tmp_path / "out") == (log_sha, kb_sha)
+    scenario = (inputs / "scenario.jsonl").read_text(encoding="utf-8")
+    run = replay(scenario, load_kb(inputs / "kb.json"), load_config(inputs / "config.json"))
+    assert (_sha256(run.log), _sha256(run.kb_out)) == (log_sha, kb_sha)
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_report_stdout(case, tmp_path, capsys):
+    inputs, out = _inputs(case, tmp_path), tmp_path / "out"
+    out.mkdir()
+    assert main(_run_argv(inputs, out)) == 0
+    capsys.readouterr()
+    assert main(["report", "--log", str(out / "log.jsonl")]) == 0
+    assert _sha256(capsys.readouterr().out) == REPORT[case]
 
 
 # alertagent's CLI with json's C accelerator blocked, so that json scans and

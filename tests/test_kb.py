@@ -10,10 +10,10 @@ import pytest
 from alertagent.context import Context
 from alertagent.errors import KnowledgeBaseError
 from alertagent.forwarder import DeviceRegistration
-from alertagent.kb import KnowledgeBase, SafetyRecord, kb_from_dict, kb_to_text, load_kb, save_kb
+from alertagent.kb import KnowledgeBase, SafetyRecord, kb_from_dict, load_kb, save_kb
 from alertagent.model import ALERT_KINDS, Contact, Group
 
-from helpers import assert_same_text, contact_doc, kb_doc, load_bench_gen, load_kb_doc
+from helpers import assert_same_text, contact_doc, kb_doc, kb_text, load_bench_gen, load_kb_doc
 
 
 def test_empty_document_loads_empty_kb():
@@ -51,8 +51,8 @@ def test_save_load_save_is_byte_stable():
             signals={"wifi_network:home-net": "Home"},
         )
     )
-    first = kb_to_text(kb)
-    second = kb_to_text(load_kb(io.StringIO(first)))
+    first = kb_text(kb)
+    second = kb_text(load_kb(io.StringIO(first)))
     assert first == second
 
 
@@ -63,7 +63,7 @@ def test_round_trip_preserves_contacts_and_records():
             safety={"c1": {"total": 4, "unsafe": 2}},
         )
     )
-    loaded = load_kb(io.StringIO(kb_to_text(kb)))
+    loaded = load_kb(io.StringIO(kb_text(kb)))
     assert loaded == kb
     assert loaded.safety_records["c1"].total_calls == 4
     assert loaded.safety_records["c1"].unsafe_calls == 2
@@ -78,7 +78,7 @@ def test_device_list_order_survives_round_trip():
             ]
         )
     )
-    loaded = load_kb(io.StringIO(kb_to_text(kb)))
+    loaded = load_kb(io.StringIO(kb_text(kb)))
     assert [d.device_id for d in loaded.devices] == ["z", "a"]
     assert loaded == kb
 
@@ -197,7 +197,7 @@ def _plain(kb: KnowledgeBase) -> dict:
 
 
 def assert_json_dumps_layout(kb: KnowledgeBase) -> None:
-    assert_same_text(kb_to_text(kb), json.dumps(_plain(kb), sort_keys=True, indent=2) + "\n")
+    assert_same_text(kb_text(kb), json.dumps(_plain(kb), sort_keys=True, indent=2) + "\n")
 
 
 @pytest.mark.parametrize("workload", ["busy_day", "callback_snapshots", "unreachable_callees"])

@@ -7,7 +7,6 @@ way, or not at all, and compares the two runs byte for byte. The inputs are the 
 
 from __future__ import annotations
 
-import io
 import json
 from pathlib import Path
 from typing import Any
@@ -16,10 +15,10 @@ import pytest
 
 from alertagent.config import load_config
 from alertagent.context import SENSOR_SIGNAL_KINDS, signal_key
-from alertagent.engine import AlertLog, parse_scenario, read_alert_log, run_scenario
-from alertagent.kb import kb_from_dict, kb_to_text, load_kb
+from alertagent.kb import KnowledgeBase, load_kb
+from alertagent.model import AgentConfig
 
-from helpers import ROOT, assert_same_text, load_bench_gen, log_text
+from helpers import ROOT, assert_same_text, load_bench_gen, replay, rewrite
 
 CASES = ("sample", "busy_day", "callback_snapshots", "unreachable_callees")
 
@@ -32,19 +31,15 @@ def inputs(request, tmp_path) -> Path:
     return tmp_path
 
 
-def _log(inputs: Path, scenario_text: str) -> str:
-    log, _ = run_scenario(
-        parse_scenario(io.StringIO(scenario_text)),
-        load_config(inputs / "config.json"),
-        load_kb(inputs / "kb.json"),
-    )
-    return log_text(log)
+def _kb_and_config(inputs: Path) -> tuple[KnowledgeBase, AgentConfig]:
+    return load_kb(inputs / "kb.json"), load_config(inputs / "config.json")
 
 
 def test_log_read_back_and_rewritten_is_byte_identical(inputs):
-    text = _log(inputs, (inputs / "scenario.jsonl").read_text(encoding="utf-8"))
+    scenario_text = (inputs / "scenario.jsonl").read_text(encoding="utf-8")
+    text = replay(scenario_text, *_kb_and_config(inputs)).log
     assert text
-    assert_same_text(log_text(AlertLog(entries=read_alert_log(io.StringIO(text)))), text)
+    assert_same_text(rewrite(text), text)
 
 
 def test_unregistered_sensor_events_leave_the_log_unchanged(inputs):
@@ -60,9 +55,9 @@ def test_unregistered_sensor_events_leave_the_log_unchanged(inputs):
             t = json.loads(line)["t"]
             noisy.append(json.dumps({"t": t, "type": "sensor", "signal_kind": kind,
                                      "signal_value": value}))
-    original = _log(inputs, "\n".join(lines) + "\n")
+    original = replay("\n".join(lines) + "\n", *_kb_and_config(inputs)).log
     assert original
-    assert_same_text(_log(inputs, "\n".join(noisy) + "\n"), original)
+    assert_same_text(replay("\n".join(noisy) + "\n", *_kb_and_config(inputs)).log, original)
 
 
 PREFIX = "renamed/"  # a fixed prefix keeps the order of ids, on which sorter ties break
@@ -96,20 +91,12 @@ def test_renaming_callers_renames_the_log_and_kb_out_and_nothing_else(inputs):
     scenario_text = (inputs / "scenario.jsonl").read_text(encoding="utf-8")
     kb_doc = json.loads((inputs / "kb.json").read_text(encoding="utf-8"))
     config = load_config(inputs / "config.json")
-    log, kb_out = run_scenario(
-        parse_scenario(io.StringIO(scenario_text)), config, kb_from_dict(kb_doc)
-    )
-    renamed_log, renamed_kb_out = run_scenario(
-        parse_scenario(io.StringIO(_rename_lines(scenario_text))),
-        config,
-        kb_from_dict(_rename_kb(kb_doc)),
-    )
-    assert log.entries
-    assert_same_text(log_text(renamed_log), _rename_lines(log_text(log)))
-    expected = _rename_kb(json.loads(kb_to_text(kb_out)))
-    assert_same_text(
-        kb_to_text(renamed_kb_out), json.dumps(expected, sort_keys=True, indent=2) + "\n"
-    )
+    run = replay(scenario_text, kb_doc, config)
+    renamed = replay(_rename_lines(scenario_text), _rename_kb(kb_doc), config)
+    assert run.log
+    assert_same_text(renamed.log, _rename_lines(run.log))
+    expected = _rename_kb(json.loads(run.kb_out))
+    assert_same_text(renamed.kb_out, json.dumps(expected, sort_keys=True, indent=2) + "\n")
 
 
 def _toggle_safety(text: str) -> tuple[str, int]:
@@ -134,9 +121,8 @@ def test_an_omitted_safety_runs_as_false(inputs):
         assert '"safety"' not in scenario_text and changed == 10
     else:
         assert '"safety": false' not in toggled and changed
-    config, kb = load_config(inputs / "config.json"), load_kb(inputs / "kb.json")
-    log, kb_out = run_scenario(parse_scenario(io.StringIO(scenario_text)), config, kb)
-    toggled_log, toggled_kb_out = run_scenario(parse_scenario(io.StringIO(toggled)), config, kb)
-    assert log.entries
-    assert_same_text(log_text(toggled_log), log_text(log))
-    assert_same_text(kb_to_text(toggled_kb_out), kb_to_text(kb_out))
+    kb, config = _kb_and_config(inputs)
+    run, toggled_run = replay(scenario_text, kb, config), replay(toggled, kb, config)
+    assert run.log
+    assert_same_text(toggled_run.log, run.log)
+    assert_same_text(toggled_run.kb_out, run.kb_out)

@@ -1,8 +1,9 @@
 from __future__ import annotations
 
+import gc
 import random
 
-from alertagent.tracker import CallerTracker
+from alertagent.tracker import CallerTracker, TrackerTask
 
 DAY_MS = 86_400_000
 
@@ -127,6 +128,23 @@ def test_expire_leaves_settled_tasks_alone():
     assert tracker.next_deadline() is None
     assert tracker._expiries == []
     assert held(tracker) == ({}, {}, {})
+
+
+def test_settled_tasks_are_not_kept():
+    def live_tasks() -> int:
+        gc.collect()
+        return sum(isinstance(obj, TrackerTask) for obj in gc.get_objects())
+
+    tracker = CallerTracker(DAY_MS)
+    before = live_tasks()
+    for i in range(1, 1001):
+        t = 10 * i
+        assert tracker.on_call_failed(t, "c3", "unreachable").prompt_id == f"p{i}"
+        assert tracker.on_user_response(t + 1, f"p{i}", "yes")[0] == "accepted"
+        assert tracker.on_delivery_report(t + 2, f"m{i}", positive=True)[0] == "done"
+    # The tracker is still alive here, and holds none of the 1000 settled tasks.
+    assert live_tasks() - before == 0
+    assert tracker.next_deadline() is None
 
 
 def test_positive_report_after_expiry_is_stale():
