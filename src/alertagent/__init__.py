@@ -22,34 +22,9 @@ from .sleep import alert_ordinal
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgentConfig",
-    "Alert",
-    "AlertLog",
-    "AlertLogError",
-    "BatteryAction",
-    "BatteryActionSpec",
-    "ConfigError",
-    "Contact",
-    "Context",
-    "ContextEngine",
-    "DeviceRegistration",
-    "Engine",
-    "Event",
-    "Group",
-    "InputError",
-    "KnowledgeBase",
-    "KnowledgeBaseError",
-    "SafetyRecord",
-    "Scenario",
-    "ScenarioError",
-    "alert_ordinal",
-    "group_weight",
-    "load_config",
-    "load_kb",
-    "parse_scenario",
-    "read_alert_log",
-    "run_scenario",
-    "save_kb",
-    "write_alert_log",
-    "__version__",
+    "AgentConfig", "Alert", "AlertLog", "AlertLogError", "BatteryAction", "BatteryActionSpec",
+    "ConfigError", "Contact", "Context", "ContextEngine", "DeviceRegistration", "Engine", "Event",
+    "Group", "InputError", "KnowledgeBase", "KnowledgeBaseError", "SafetyRecord", "Scenario",
+    "ScenarioError", "alert_ordinal", "group_weight", "load_config", "load_kb", "parse_scenario",
+    "read_alert_log", "run_scenario", "save_kb", "write_alert_log", "__version__",
 ]

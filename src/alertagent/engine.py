@@ -52,6 +52,9 @@ from .tracker import CallerTracker, TrackerTask
 
 @dataclass
 class Scenario:
+    """The parsed events, in file order. A run consumes them: once an event is
+    dispatched its slot holds None, so ``len(events)`` still counts them."""
+
     events: list[Event] = field(default_factory=list)
 
 
@@ -386,11 +389,14 @@ class Engine:
     # -- main loop ------------------------------------------------------------
 
     def run(self, scenario: Scenario) -> AlertLog:
+        """Replay the scenario and consume it: each event is let go, its slot in
+        ``scenario.events`` set to None, once dispatched, as none is read again."""
         events = scenario.events
         for index, ev in enumerate(events):
             self._fire_deadlines(ev.t + 1, events, index)
             self.clock = ev.t
             self._dispatch(ev)
+            events[index] = None
         # A call the scenario never ended would keep producing exposure
         # warnings forever; stop tracking it, unclassified.
         if self.monitor.caller_id is not None:

@@ -124,15 +124,29 @@ def _key_count(value: dict) -> int:
     return count
 
 
+def _lines(source: str | Path | IO[str], error: type[InputError]) -> Iterator[str]:
+    """Lines of an open text stream as it splits them (``io.StringIO``: at "\\n" only), or
+    of a path read one at a time, split at b"\\n" only and decoded as UTF-8 with its "\\n"."""
+    if not isinstance(source, (str, Path)):
+        yield from source
+        return
+    with open(source, "rb") as file:
+        for lineno, raw in enumerate(file, start=1):
+            try:
+                yield raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise error(f"line {lineno}: invalid UTF-8: {exc.reason}") from exc
+
+
 def read_json_lines(
     source: str | Path | IO[str], error: type[InputError]
 ) -> Iterator[tuple[int, dict[str, Any]]]:
     """(1-based line number, object) for each non-blank line of a JSON-lines file.
 
-    Lines end at "\\n" only (str.splitlines also splits at a raw U+2028 inside
-    a string), and only JSON's own whitespace around a line is stripped
-    (str.strip also strips U+00A0 and the like). Each line is decoded like
-    ``read_json`` and must hold an object.
+    A path is read one line at a time, so the first faulty line in file order is named.
+    Lines end at "\\n" only (str.splitlines also splits at a raw U+2028 inside a string),
+    and only JSON's own whitespace around a line is stripped (str.strip also strips
+    U+00A0 and the like). Each line is decoded like ``read_json`` and must hold an object.
 
     Each key in the text is followed by a colon outside any string, and a repeated
     key leaves the value fewer keys than the text. So a line with as many colons
@@ -140,8 +154,8 @@ def read_json_lines(
     decodes it as ``_decode`` would. Any other line, or one that scan fails on, is
     decoded again by ``_decode``, which gives the same value or names the fault.
     """
-    for lineno, raw in enumerate(_read_text(source, error).split("\n"), start=1):
-        line = raw.strip(" \t\r")
+    for lineno, raw in enumerate(_lines(source, error), start=1):
+        line = raw.strip(" \t\r\n")
         if line:
             try:
                 obj, end = _SCAN_LINE(line, 0)
@@ -374,6 +388,11 @@ def _snapshot_entries(value: Any) -> str | None:
     if not isinstance(value, list):
         return "must be an array"
     for index, entry in enumerate(value):
+        # An entry as the engine writes it passes without the table walk.
+        if (type(entry) is dict and len(entry) == 3 and type(entry.get("score")) is float
+                and entry.get("kind") in ("call", "message")
+                and type(caller := entry.get("caller")) is str and caller):
+            continue
         problem = fields_problem(entry, _SNAPSHOT_ENTRY)
         if problem is not None:
             return f"item {index}: {problem}"

@@ -70,15 +70,18 @@ class Replay(NamedTuple):
     diagnostics: list[str]
 
 
-def replay(scenario: str | Iterable[dict], kb: dict | KnowledgeBase | None = None,
+def replay(scenario: Scenario | str | Iterable[dict], kb: dict | KnowledgeBase | None = None,
            config: AgentConfig | None = None) -> Replay:
-    """Run a scenario, its JSON-lines text or its lines, through the calls
-    ``alertagent run`` makes; ``kb`` is a KB document or a loaded knowledge base
-    (empty by default), and ``config`` defaults to ``AgentConfig()``."""
-    text = scenario if isinstance(scenario, str) else _scenario_text(scenario)
+    """Run a scenario, parsed (the run consumes it), as JSON-lines text or as its
+    lines, through the calls ``alertagent run`` makes; ``kb`` is a KB document or
+    a loaded knowledge base (empty by default), and ``config`` defaults to
+    ``AgentConfig()``."""
+    if not isinstance(scenario, Scenario):
+        text = scenario if isinstance(scenario, str) else _scenario_text(scenario)
+        scenario = parse_scenario(io.StringIO(text))
     if not isinstance(kb, KnowledgeBase):
         kb = load_kb_doc(kb or kb_doc())
-    log, final_kb = run_scenario(parse_scenario(io.StringIO(text)), config or AgentConfig(), kb)
+    log, final_kb = run_scenario(scenario, config or AgentConfig(), kb)
     return Replay(log_text(log.entries), kb_text(final_kb), log.diagnostics)
 
 

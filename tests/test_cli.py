@@ -464,6 +464,25 @@ def test_invalid_utf8_names_its_file_and_line(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv, first",
+    [
+        (["run", "--kb", str(ROOT / "sample" / "kb.json"), "--scenario"],
+         b'{"t": 0, "type": "call_end"}'),
+        (["report", "--log"], b'{"t":0,"seq":1,"kind":"ring","caller":"c"}'),
+    ],
+    ids=["run", "report"],
+)
+def test_the_first_faulty_line_in_file_order_is_named(tmp_path, capsys, argv, first):
+    # A JSON fault on line 2 comes before a byte that is not UTF-8 on line 4.
+    path, out = tmp_path / "input.jsonl", tmp_path / "log.jsonl"
+    path.write_bytes(first + b'\n{"t": 1,}\n' + first + b'\n{"caller": "caf\xe9"}\n')
+    assert main([*argv, str(path), *(["--out", str(out)] if argv[0] == "run" else [])]) == 1
+    err = _assert_input_error(capsys, path, line=2)
+    assert "invalid JSON" in err and "line 4" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "line",
     [
         '{"t":0,"seq":1,"kind":"sorted_list_snapshot","entries":5}',

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import io
 import json
 import math
@@ -16,6 +17,7 @@ from alertagent.model import (
     Alert,
     BatteryAction,
     BatteryActionSpec,
+    Event,
 )
 from alertagent.sorter import MissedItemTally
 
@@ -27,6 +29,7 @@ from helpers import (
     kinds_of,
     load_kb_doc,
     log_text,
+    make_scenario,
     records,
     replay,
     rewrite,
@@ -214,6 +217,32 @@ def test_empty_scenario_changes_nothing():
     run = replay([], kb)
     assert run.log == "" and run.diagnostics == []
     assert run.kb_out == kb_text(kb)
+
+
+def _events_alive() -> int:
+    gc.collect()
+    return sum(1 for obj in gc.get_objects() if type(obj) is Event)
+
+
+def test_a_run_keeps_no_dispatched_event():
+    # Calls that end exactly at the exposure limit, or at twice it, make the
+    # crossing look ahead past the event being dispatched.
+    lines = []
+    for i in range(250):
+        t = 1_000_000 * i
+        lines += [
+            {"t": t, "type": "call_start", "caller": f"c{i % 7}"},
+            {"t": t + 360_000 * (1 + i % 2), "type": "call_end"},
+            {"t": t + 800_000, "type": "message_received", "caller": f"c{i % 5}"},
+            {"t": t + 800_000, "type": "snapshot_request"},
+        ]
+    before = _events_alive()
+    scenario = make_scenario(lines)
+    run = replay(scenario)
+    assert len(scenario.events) == 1000
+    assert _events_alive() == before  # none of the 1000 is kept
+    assert run == replay(lines)
+    assert "radiation_incall_warning" in kinds_of(run.log)
 
 
 def test_input_kb_is_not_mutated():
@@ -880,3 +909,28 @@ def test_read_alert_log_checks_each_kinds_payload(line, fragment):
         read_alert_log(io.StringIO(line))
     assert str(err.value).startswith("line 1: ")
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "entry, problem",
+    [
+        ('{"caller":"","kind":"call","score":1.0}', "field 'caller' must be a non-empty string"),
+        ('{"caller":7,"kind":"call","score":1.0}', "field 'caller' must be a non-empty string"),
+        ('{"caller":"c","kind":"x","score":1.0}',
+         "field 'kind' must be one of ['call', 'message']"),
+        ('{"caller":"c","kind":["call"],"score":1.0}',
+         "field 'kind' must be a non-empty string"),
+        ('{"caller":"c","kind":"call","score":true}', "field 'score' must be a number"),
+        ('{"caller":"c","kind":"call","score":"1.0"}', "field 'score' must be a number"),
+        ('{"caller":"c","kind":"call","x":1.0}', "missing field 'score'"),
+        ('{"caller":"c","kind":"call","score":1.0,"x":1}', "unknown field 'x'"),
+    ],
+)
+def test_a_snapshot_entry_unlike_a_written_one_gets_the_field_tables_error(entry, problem):
+    # Entries the engine writes (exactly caller, kind and a float score) skip the
+    # table walk; every other entry is walked, so its error text is the walk's.
+    line = ('{"t":0,"seq":1,"kind":"sorted_list_snapshot","entries":'
+            f'[{{"caller":"c","kind":"message","score":2.5}},{entry}]}}')
+    with pytest.raises(AlertLogError) as err:
+        read_alert_log(io.StringIO(line))
+    assert str(err.value) == f"line 1: field 'entries' item 1: {problem}"

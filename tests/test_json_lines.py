@@ -160,3 +160,51 @@ def test_seeded_nested_lines_reach_both_decoders():
             passed += kind == "value" and line.count(":") == _text_keys(line)
             duplicates += kind == "error" and "duplicate key" in text
     assert passed > 50 and duplicates > 100
+
+
+def _outcomes(source) -> list[tuple[str, object]]:
+    """Each (line number, value) the reader gives, then the error text, if any."""
+    outcomes = []
+    try:
+        for lineno, obj in read_json_lines(source, InputError):
+            outcomes.append((lineno, repr(obj)))
+    except InputError as exc:
+        outcomes.append(("error", str(exc)))
+    return outcomes
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", ""], ids=["lf", "crlf", "no_final_newline"])
+def test_a_path_reads_like_a_stream(tmp_path, end):
+    # Each line follows a good one, so a line read from the path is line 2, and
+    # with no final newline it is the file's last byte.
+    path = tmp_path / "lines.jsonl"
+    lines = _CASES + [line for seed in range(4) for line in _seeded_lines(seed, 600)]
+    for line in lines:
+        text = '{"t":0}' + (end or "\n") + line + end
+        path.write_bytes(text.encode("utf-8"))
+        assert _outcomes(path) == _outcomes(io.StringIO(text)), line
+
+
+def test_a_path_splits_lines_at_newline_only(tmp_path):
+    # Raw U+2028 and U+0085 inside strings: str.splitlines splits at both.
+    path = tmp_path / "lines.jsonl"
+    path.write_bytes('{"a":"x\u2028y","b":"\u0085"}\n{"t":1}\n'.encode("utf-8"))
+    assert list(read_json_lines(path, InputError)) == [
+        (1, {"a": "x\u2028y", "b": "\u0085"}), (2, {"t": 1})
+    ]
+
+
+@pytest.mark.parametrize("data, line, reason", [
+    (b'{"t":0}\n{"a":"caf\xe9"}\n{"t":1}\n', 2, "invalid continuation byte"),
+    (b'{"t":0}\n{"a":"caf\xe9\n', 2, "invalid continuation byte"),
+    (b'{"t":0}\n\n{"a":"caf\xe9', 3, "unexpected end of data"),
+], ids=["mid_file", "before_last_newline", "at_eof"])
+def test_a_bad_byte_names_its_line_and_the_whole_file_reason(tmp_path, data, line, reason):
+    path = tmp_path / "lines.jsonl"
+    path.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as whole:
+        data.decode("utf-8")
+    assert whole.value.reason == reason
+    with pytest.raises(InputError) as err:
+        list(read_json_lines(path, InputError))
+    assert str(err.value) == f"line {line}: invalid UTF-8: {reason}"
