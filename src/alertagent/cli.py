@@ -1,13 +1,15 @@
 """Command-line entry point: run scenarios, validate inputs, summarize logs.
 
 Exit codes: 0 success, 1 invalid input (parse or validation failure),
-2 internal error (unexpected failures, unwritable outputs).
+2 internal error (unexpected failures, unwritable outputs), 141 stdout closed
+before all output was written (as a process ended by SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
 import io
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -16,11 +18,12 @@ from .config import load_config
 from .engine import parse_scenario, run_scenario, write_alert_log
 from .errors import AlertLogError, InputError
 from .kb import load_kb, save_kb
-from .model import ALERT_FIELDS, AgentConfig, read_records
+from .model import ALERT_FIELDS, MISSED_ITEM_KIND, AgentConfig, read_records
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 1
 EXIT_INTERNAL = 2
+EXIT_BROKEN_PIPE = 128 + 13  # 128 + SIGPIPE, as the shell reports
 
 
 def _load_input(path: str, loader):
@@ -66,20 +69,16 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# The alert kinds that report a missed item, and its column: calls, messages.
-_MISSED = {"ring": 0, "suppress_note": 0, "beep": 1}
-
-
-def _summarize(path: str) -> tuple[Counter[str], dict[str, list[int]], tuple | None]:
+def _summarize(path: str) -> tuple[Counter[str], dict[str, dict[str, int]], tuple | None]:
     """One pass that reads and checks the whole log: each alert kind's count, each
-    caller's missed [calls, messages], and the last snapshot's (t, entries)."""
+    caller's missed items by kind, and the last snapshot's (t, entries)."""
     kinds: Counter[str] = Counter()
-    missed: dict[str, list[int]] = {}
+    missed: dict[str, dict[str, int]] = {}
     snapshot = None
     for _, t, kind, rest in read_records(path, ALERT_FIELDS, AlertLogError):
         kinds[kind] += 1
-        if kind in _MISSED:
-            missed.setdefault(rest["caller"], [0, 0])[_MISSED[kind]] += 1
+        if (item := MISSED_ITEM_KIND.get(kind)) is not None:
+            missed.setdefault(rest["caller"], {"call": 0, "message": 0})[item] += 1
         elif kind == "sorted_list_snapshot":
             snapshot = t, rest["entries"]
     return kinds, missed, snapshot
@@ -92,8 +91,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         print(f"  {kind}: {kinds[kind]}")
     if missed:
         print("per-caller missed items:")
-        for caller, (calls, messages) in sorted(missed.items()):
-            print(f"  {caller}: calls={calls} messages={messages}")
+        for caller, items in sorted(missed.items()):
+            print(f"  {caller}: calls={items['call']} messages={items['message']}")
     if snapshot is None:
         print("callback list: no snapshot")
     else:
@@ -140,10 +139,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # here, so that a closed stdout is met below
+        return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``): stop quietly. What is still
+        # buffered goes to os.devnull, so the interpreter's last flush cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except Exception as exc:  # noqa: BLE001 - boundary: report and exit 2
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

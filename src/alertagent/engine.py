@@ -29,6 +29,7 @@ from .model import (
     ALERT_FIELDS,
     FAILURE_REASONS,
     MAX_T,
+    MISSED_ITEM_KIND,
     USER_FACING_ALERT_KINDS,
     AgentConfig,
     Alert,
@@ -160,9 +161,6 @@ def read_alert_log(source: str | Path | IO[str]) -> list[Alert]:
 
 # ---------------------------------------------------------------------------
 # Engine
-
-# Alert kinds that acknowledge a missed item when attended.
-_ACK_ITEM_KIND = {"ring": "call", "suppress_note": "call", "beep": "message"}
 
 # External events that end the current exposure stretch; a warning falling on
 # the exact same instant is a reach, not a crossing, and must not fire.
@@ -374,7 +372,7 @@ class Engine:
             return
         alert = self.entries[alert_id - 1]
         # sorter stage: attending the item's alert acknowledges the item
-        item_kind = _ACK_ITEM_KIND.get(alert.kind)
+        item_kind = MISSED_ITEM_KIND.get(alert.kind)
         if item_kind is not None:
             self.tally.acknowledge(alert.payload["caller"], item_kind)
         # forwarder stage: a pending entry attended in time never forwards

@@ -8,10 +8,9 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from json.scanner import py_make_scanner
+from itertools import accumulate
 from pathlib import Path
-from types import SimpleNamespace
-from typing import IO, Any, Callable, Iterable, Iterator, NamedTuple
+from typing import IO, Any, Iterable, Iterator, NamedTuple
 
 from .errors import ConfigError, InputError
 
@@ -64,44 +63,28 @@ def _decode(text: str, error: type[InputError], line: int | None = None) -> Any:
         if line is None:
             where = f"line {exc.lineno}, column {exc.colno}: "
         raise error(f"{where}invalid JSON: {exc.msg}") from exc
-    except ValueError as exc:
-        raise error(f"{where or _fault_where(text, str(exc))}invalid JSON: {exc}") from exc
-    except RecursionError:
-        raise error(f"{where or _fault_where(text, None)}invalid JSON: nested too deeply") from None
+    except (ValueError, RecursionError) as exc:  # a hook's fault, or too deep a nesting
+        message = "nested too deeply" if isinstance(exc, RecursionError) else str(exc)
+        raise error(f"{where or _fault_where(text, str(exc))}invalid JSON: {message}") from exc
 
 
-def _fault_where(text: str, message: str | None) -> str:
-    """The "line N: " for a fault that json's C decode names without a place:
-    ``message``, or too deep a nesting when None.
-
-    A pure-Python scan of ``text`` records where each object and array opens;
-    N is the line of the innermost one still open when that scan meets the
-    same fault. "" when it meets another.
+def _fault_where(text: str, fault: str) -> str:
+    """The "line N: " for a fault, its exception's message, that json's C decode
+    names without a place. N is the first line such that the text up to its end
+    meets the same fault; any shorter cut ends inside the document, so it fails as a
+    JSONDecodeError instead. "" when the whole text does not meet that fault again.
     """
-    opened: list[int] = []
-
-    def tracked(parse: Callable[..., Any]) -> Callable[..., Any]:
-        def parse_open(s_and_end: tuple[str, int], *args: Any) -> Any:
-            opened.append(s_and_end[1] - 1)
-            value = parse(s_and_end, *args)
-            opened.pop()
-            return value
-
-        return parse_open
-
-    scan = py_make_scanner(SimpleNamespace(**{
-        **vars(_DECODER), "memo": {},
-        "parse_object": tracked(_DECODER.parse_object),
-        "parse_array": tracked(_DECODER.parse_array),
-    }))
-    try:
-        scan(text, len(text) - len(text.lstrip(" \t\n\r")))
-    except (ValueError, RecursionError) as exc:
-        met = None if isinstance(exc, RecursionError) else str(exc)
-        if met == message and opened:
-            line = text.count("\n", 0, opened[-1]) + 1
-            return f"line {line}: "
-    return ""
+    ends = list(accumulate(len(line) + 1 for line in text.split("\n")))
+    lo, hi = 0, len(ends)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        met = None
+        try:
+            _DECODER.decode(text[: ends[mid]])
+        except (ValueError, RecursionError) as exc:
+            met = str(exc)
+        lo, hi = (lo, mid) if met == fault else (mid + 1, hi)
+    return f"line {lo + 1}: " if lo < len(ends) else ""
 
 
 def read_json(source: str | Path | IO[str], error: type[InputError]) -> Any:
@@ -434,6 +417,8 @@ ALERT_KINDS = tuple(ALERT_FIELDS)
 USER_FACING_ALERT_KINDS = frozenset(
     {"ring", "beep", "tracker_notify", "radiation_precall_warning", "radiation_incall_warning"}
 )
+# The alert kinds that report a missed item, and its kind: attending one acknowledges it.
+MISSED_ITEM_KIND = {"ring": "call", "suppress_note": "call", "beep": "message"}
 _USER_FACING_FIELDS = Tagged("kind", "user-facing alert kind", {}, {
     kind: fields for kind, fields in ALERT_FIELDS.items() if kind in USER_FACING_ALERT_KINDS
 })

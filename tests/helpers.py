@@ -17,7 +17,7 @@ from alertagent.engine import (
     AlertLog, Scenario, parse_scenario, read_alert_log, run_scenario, write_alert_log,
 )
 from alertagent.kb import KnowledgeBase, load_kb, save_kb
-from alertagent.model import AgentConfig, Alert, Contact, Group
+from alertagent.model import AgentConfig, Alert, Contact, Group, group_weight
 from alertagent.sorter import MissedItemTally
 
 
@@ -129,6 +129,27 @@ class Record(NamedTuple):
     kind: str
     n: int
     latest_time_ms: int
+
+
+def oracle_sorted(records: Iterable[Record], groups: dict[str, Group], now_ms: int,
+                  floor: float) -> list[dict[str, Any]]:
+    """A snapshot's entries ranked by brute force, each caller's group taken from
+    ``groups`` (Group D if absent)."""
+
+    def weight(r):
+        return group_weight(groups.get(r.caller_id, Group.D))
+
+    def score(r):
+        minutes = (now_ms - r.latest_time_ms) / 60000.0
+        if minutes < floor:
+            minutes = floor
+        return (weight(r) * r.n) / minutes
+
+    ordered = sorted(
+        records,
+        key=lambda r: (-score(r), -weight(r), -r.latest_time_ms, r.caller_id, r.kind),
+    )
+    return [{"caller": r.caller_id, "kind": r.kind, "score": score(r)} for r in ordered]
 
 
 def tally_of(records: Iterable[Record], kb: KnowledgeBase) -> MissedItemTally:

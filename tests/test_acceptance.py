@@ -15,7 +15,7 @@ from contextlib import contextmanager
 
 from alertagent.forwarder import matching_devices
 from alertagent.kb import KnowledgeBase, SafetyRecord, load_kb
-from alertagent.model import AgentConfig, Contact, Group, group_weight
+from alertagent.model import AgentConfig, Contact, Group
 from alertagent.sleep import alert_ordinal
 from alertagent.tracker import CallerTracker
 
@@ -28,6 +28,7 @@ from helpers import (
     kinds_of,
     load_kb_doc,
     make_scenario,
+    oracle_sorted,
     records,
     replay,
     snapshot_score,
@@ -87,23 +88,6 @@ def test_criterion_1_sleep_alert_ordinals():
 # -- 2: sorter oracle equivalence ------------------------------------------------
 
 
-def _oracle_sorted(records, groups, now_ms, floor):
-    def weight(r):
-        return group_weight(groups.get(r.caller_id, Group.D))
-
-    def score(r):
-        minutes = (now_ms - r.latest_time_ms) / 60000.0
-        if minutes < floor:
-            minutes = floor
-        return (weight(r) * r.n) / minutes
-
-    ordered = sorted(
-        records,
-        key=lambda r: (-score(r), -weight(r), -r.latest_time_ms, r.caller_id, r.kind),
-    )
-    return [{"caller": r.caller_id, "kind": r.kind, "score": score(r)} for r in ordered]
-
-
 def test_criterion_2_sorter_matches_brute_force_oracle():
     with criterion(2, "sorter equals brute-force oracle on 1000 sets", budget_s=10.0):
         rng = random.Random(60405)
@@ -125,7 +109,7 @@ def test_criterion_2_sorter_matches_brute_force_oracle():
                 )
                 for cid, kind in chosen
             ]
-            assert entry_dicts(tally_of(records, kb).snapshot(now, 1.0)) == _oracle_sorted(
+            assert entry_dicts(tally_of(records, kb).snapshot(now, 1.0)) == oracle_sorted(
                 records, groups, now, 1.0
             )
 

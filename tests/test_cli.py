@@ -397,8 +397,9 @@ def test_duplicate_key_is_code_1(tmp_path, capsys, option, text, key, line):
 
 
 # A KB and a config, each with a fault on line 5 that json's C decode names
-# without a place; the line named is where the innermost open object or array
-# starts.
+# without a place. The line named is the first one the text must run to for the
+# decode to meet that fault: the line of a NaN, an Infinity or 1e999, of the "}"
+# closing an object with a repeated key, of the "[" where the depth runs out.
 _KB_FAULT = '{\n"contacts": [],\n"context_signals": {},\n"devices": [],\n"safety_records": {"c1": %s}}'
 _CONFIG_FAULT = '{\n"attend_window_ms": 1,\n\n\n"battery_actions": [%s]}'
 _FAULTS = {
@@ -419,6 +420,29 @@ def test_whole_document_fault_names_its_line(tmp_path, capsys, option, layout, f
     path.write_text(layout % value, encoding="utf-8")
     assert main(["validate", option, str(path)]) == 1
     assert f"line 5: invalid JSON: {message}" in _assert_input_error(capsys, path, line=5)
+
+
+# Faults a line or more past where the object or array around them opens; the
+# value starts on line 5 of either layout.
+_FAULTS_MET_LATER = {
+    "nan": ('{\n"total": 1,\n"unsafe":\nNaN\n}', 8, "NaN is not a finite number"),
+    "duplicate_key": ('{\n"total": 1,\n"total": 2,\n"unsafe": 0\n}', 9, "duplicate key 'total'"),
+    "nan_900_deep": ("[" * 900 + "\n\nNaN" + "]" * 900, 7, "NaN is not a finite number"),
+}
+
+
+@pytest.mark.parametrize("fault", _FAULTS_MET_LATER)
+@pytest.mark.parametrize(
+    "option, layout", [("--kb", _KB_FAULT), ("--config", _CONFIG_FAULT)], ids=["kb", "config"]
+)
+def test_whole_document_fault_names_the_line_where_it_is_met(
+    tmp_path, capsys, option, layout, fault
+):
+    value, line, message = _FAULTS_MET_LATER[fault]
+    path = tmp_path / "input.json"
+    path.write_text(layout % value, encoding="utf-8")
+    assert main(["validate", option, str(path)]) == 1
+    assert f"line {line}: invalid JSON: {message}" in _assert_input_error(capsys, path, line)
 
 
 _NOT_UTF8 = b'\n{"caller": "caf\xe9"}\n'
@@ -531,3 +555,32 @@ def test_stdout_escapes_what_its_encoding_cannot_show(tmp_path, encoding, name, 
     )
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert expected in proc.stdout.decode("ascii").splitlines()
+
+
+@pytest.mark.parametrize("buffering", ["unbuffered", "buffered"])
+@pytest.mark.parametrize("command", ["report", "run"])
+def test_a_closed_stdout_exits_141_and_prints_nothing(tmp_path, command, buffering):
+    """``report`` over 5000 callers, more than a pipe holds, with one line read, and
+    ``run`` with stdout closed at once: exit 141 (128 + SIGPIPE), as ``cat`` would,
+    with nothing on stderr. Both with the write failing in ``print`` (unbuffered)
+    and in the last flush (buffered)."""
+    if command == "report":
+        log = tmp_path / "log.jsonl"
+        log.write_text("".join(_RING % f'"c{n:05d}"' for n in range(5000)), encoding="utf-8")
+        argv = ["report", "--log", str(log)]
+    else:
+        sample = ROOT / "sample"
+        argv = ["run", "--scenario", str(sample / "scenario.jsonl"), "--kb",
+                str(sample / "kb.json"), "--out", str(tmp_path / "out.jsonl")]
+    src = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    unbuffered = "1" if buffering == "unbuffered" else ""
+    with open(tmp_path / "err.txt", "wb") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "alertagent", *argv], stdout=subprocess.PIPE, stderr=err,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered},
+        )
+        if command == "report":
+            assert proc.stdout.readline() == b"alerts: 5000\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+    assert (tmp_path / "err.txt").read_bytes() == b""

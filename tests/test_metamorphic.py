@@ -2,12 +2,14 @@
 
 Each test changes an input in a way that must change the output in a known
 way, or not at all, and compares the two runs byte for byte. The inputs are the worked example in
-``sample/`` and the benchmark generator's three workloads at seed 1.
+``sample/`` and the benchmark generator's three workloads at seed 1 (scale 0.2; the split-point
+test runs them at scale 0.05 and seeds 1 to 3).
 """
 
 from __future__ import annotations
 
 import json
+import random
 from pathlib import Path
 from typing import Any
 
@@ -18,7 +20,7 @@ from alertagent.context import SENSOR_SIGNAL_KINDS, signal_key
 from alertagent.kb import KnowledgeBase, load_kb
 from alertagent.model import AgentConfig
 
-from helpers import ROOT, assert_same_text, load_bench_gen, replay, rewrite
+from helpers import ROOT, Replay, assert_same_text, load_bench_gen, replay, rewrite
 
 CASES = ("sample", "busy_day", "callback_snapshots", "unreachable_callees")
 
@@ -126,3 +128,42 @@ def test_an_omitted_safety_runs_as_false(inputs):
     assert run.log
     assert_same_text(toggled_run.log, run.log)
     assert_same_text(toggled_run.kb_out, run.kb_out)
+
+
+END_NOTE = "still active at end of scenario"
+
+
+def _through(run: Replay, t: int) -> tuple[str, list[str]]:
+    """The log lines and the diagnostics of a run at instants up to ``t``."""
+    lines = [line for line in run.log.splitlines(keepends=True) if json.loads(line)["t"] <= t]
+    notes = [note for note in run.diagnostics if int(note[2:note.index(":")]) <= t]
+    return "".join(lines), notes
+
+
+@pytest.mark.parametrize(
+    "case", ["sample"] + [f"{workload}-{seed}" for workload in CASES[1:] for seed in (1, 2, 3)]
+)
+def test_no_line_depends_on_a_later_instant(case, tmp_path):
+    """The scenario cut after its last event at an instant T runs, up to T, as the
+    whole scenario does: the same log lines and the same diagnostics, bar the cut
+    run's own note on a call still active at its end. The workloads run at scale
+    0.05 and seeds 1 to 3. Every cut of sample/ and of callback_snapshots is
+    replayed; of the two longer workloads, eight seeded cuts each."""
+    if case == "sample":
+        inputs = ROOT / "sample"
+    else:
+        workload, seed = case.rsplit("-", 1)
+        inputs = tmp_path
+        load_bench_gen().generate(workload, int(seed), inputs, 0.05)
+    kb, config = _kb_and_config(inputs)
+    lines = (inputs / "scenario.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    times = [json.loads(line)["t"] for line in lines]
+    cuts = [k for k in range(1, len(lines)) if times[k - 1] < times[k]]
+    if case.startswith(("busy_day", "unreachable_callees")):
+        cuts = random.Random(case).sample(cuts, 8)
+    full = replay("".join(lines), kb, config)
+    for k in cuts:
+        log, notes = _through(replay("".join(lines[:k]), kb, config), times[k - 1])
+        full_log, full_notes = _through(full, times[k - 1])
+        assert_same_text(log, full_log)
+        assert [note for note in notes if END_NOTE not in note] == full_notes, f"cut at {k}"

@@ -7,10 +7,10 @@ import random
 import pytest
 
 from alertagent.kb import KnowledgeBase
-from alertagent.model import Group, group_weight
+from alertagent.model import Group
 from alertagent.sorter import MissedItemTally
 
-from helpers import Record, entry_dicts, kb_with, snapshot_score, tally_of
+from helpers import Record, entry_dicts, kb_with, oracle_sorted, snapshot_score, tally_of
 
 MIN_MS = 60_000
 FLOOR = 1.0
@@ -54,23 +54,6 @@ def test_sort_two_records_highest_first():
     assert rank(records, kb, now_ms=MIN_MS) == [entry("a", "call", 4.0), entry("d", "call", 2.0)]
 
 
-def _oracle_sort(records, groups, now_ms, floor):
-    def weight(r):
-        return group_weight(groups.get(r.caller_id, Group.D))
-
-    def score(r):
-        minutes = (now_ms - r.latest_time_ms) / 60000.0
-        if minutes < floor:
-            minutes = floor
-        return (weight(r) * r.n) / minutes
-
-    ordered = sorted(
-        records,
-        key=lambda r: (-score(r), -weight(r), -r.latest_time_ms, r.caller_id, r.kind),
-    )
-    return [entry(r.caller_id, r.kind, score(r)) for r in ordered]
-
-
 def test_sort_matches_brute_force_oracle():
     rng = random.Random(7)
     groups = {f"c{i}": rng.choice(list(Group)) for i in range(12)}
@@ -83,7 +66,7 @@ def test_sort_matches_brute_force_oracle():
             record(caller=c, kind=k, n=rng.randrange(1, 21), latest=rng.randrange(0, now + 1))
             for c, k in chosen
         ]
-        assert rank(records, kb, now) == _oracle_sort(records, groups, now, FLOOR)
+        assert rank(records, kb, now) == oracle_sorted(records, groups, now, FLOOR)
 
 
 def test_sort_output_is_permutation_of_input():

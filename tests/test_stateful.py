@@ -24,8 +24,7 @@ from alertagent.model import Group  # noqa: E402
 from alertagent.sorter import MissedItemTally  # noqa: E402
 from alertagent.tracker import CallerTracker  # noqa: E402
 
-from helpers import Record, entry_dicts, kb_with  # noqa: E402
-from test_acceptance import _oracle_sorted  # noqa: E402
+from helpers import Record, entry_dicts, kb_with, oracle_sorted  # noqa: E402
 
 SETTINGS = settings(max_examples=100, stateful_step_count=30, deadline=None, derandomize=True)
 
@@ -63,7 +62,7 @@ class TallyMachine(RuleBasedStateMachine):
     def snapshot(self, step, floor):
         self.t += step
         records = [Record(c, k, n, latest) for (c, k), (n, latest) in self.model.items()]
-        expected = _oracle_sorted(records, GROUPS, self.t, floor)
+        expected = oracle_sorted(records, GROUPS, self.t, floor)
         assert entry_dicts(self.tally.snapshot(self.t, floor)) == expected
 
 
