@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import IO, Any, Iterator
+from typing import IO, Any
 
 from .battery import BatteryGuard
 from .context import SENSOR_SIGNAL_KINDS, Context, ContextEngine
@@ -119,44 +119,26 @@ _C_ENCODER = json.encoder.c_make_encoder and json.encoder.c_make_encoder(
 )
 
 
-def _encode(value: Any) -> str:
-    return "".join(_C_ENCODER(value, 0)) if _C_ENCODER else _ENCODER.encode(value)
+def _fields(payload: dict[str, Any]) -> str:
+    """A payload as an alert's fields: its keys sorted, nested values in their own order."""
+    record = dict(sorted(payload.items()))
+    return ("".join(_C_ENCODER(record, 0)) if _C_ENCODER else _ENCODER.encode(record))[1:-1]
 
 
-def _log_lines(entries: list[Alert]) -> Iterator[str]:
-    """Each alert's line: compact ``json.dumps(alert.to_record())``, a snapshot's entries
-    being their JSON array text already. Forward and snapshot fields are spliced after t,
-    seq and kind; the forwards of one due alert share one record, encoded once for all."""
-    record = text = None
-    for alert in entries:
-        kind = alert.kind
-        if kind == "forward_to_device":
-            if alert.payload["alert"] is not record:
-                record = alert.payload["alert"]
-                text = _encode(record)
-            device = encode_basestring_ascii(alert.payload["device_id"])
-            tail = f'"alert":{text},"device_id":{device}}}\n'
-        elif kind == "sorted_list_snapshot":
-            tail = f'"entries":{alert.payload["entries"]}}}\n'
-        else:
-            yield _encode(alert.to_record()) + "\n"
-            continue
-        yield f'{{"t":{alert.t},"seq":{alert.seq},"kind":"{kind}",{tail}'
+def _line(alert: Alert) -> str:
+    """An alert's log line, without its "\\n": t, seq and kind, then its fields."""
+    return f'{{"t":{alert.t},"seq":{alert.seq},"kind":"{alert.kind}",{alert.fields}}}'
 
 
 def write_alert_log(log: AlertLog, sink: str | Path | IO[str]) -> None:
     """Write the log one line per alert, each straight to the sink."""
-    write_text(sink, _log_lines(log.entries))
+    write_text(sink, (f"{_line(alert)}\n" for alert in log.entries))
 
 
 def read_alert_log(source: str | Path | IO[str]) -> list[Alert]:
-    """Parse a written alert log back into Alert values; a snapshot holds its entries' text."""
-    alerts = []
-    for _, t, kind, rest in read_records(source, ALERT_FIELDS, AlertLogError):
-        if kind == "sorted_list_snapshot":
-            rest["entries"] = _encode(rest["entries"])
-        alerts.append(Alert(t, rest.pop("seq"), kind, rest))
-    return alerts
+    """Parse a written alert log back into Alert values."""
+    return [Alert(t, rest.pop("seq"), kind, _fields(rest))
+            for _, t, kind, rest in read_records(source, ALERT_FIELDS, AlertLogError)]
 
 
 # ---------------------------------------------------------------------------
@@ -202,14 +184,17 @@ class Engine:
         self.diagnostics.append(f"t={self.clock}: {message}")
 
     def _emit(self, kind: str, payload: dict[str, Any]) -> None:
-        alert = Alert(self.clock, len(self.entries) + 1, kind, payload)
+        self._emit_fields(kind, _fields(payload))
+
+    def _emit_fields(self, kind: str, fields: str) -> None:
+        alert = Alert(self.clock, len(self.entries) + 1, kind, fields)
         self.entries.append(alert)
         if kind in USER_FACING_ALERT_KINDS:
             self.ledger.track(alert)
 
     def _emit_snapshot(self) -> None:
-        entries = self.tally.snapshot(self.clock, self.config.sorter_t_floor_min)
-        self._emit("sorted_list_snapshot", {"entries": entries})
+        fields = self.tally.snapshot(self.clock, self.config.sorter_t_floor_min)
+        self._emit_fields("sorted_list_snapshot", fields)
 
     def _emit_tracker(self, kind: str, task: TrackerTask) -> None:
         self._emit(kind, {"prompt_id": task.prompt_id, "callee": task.callee_id,
@@ -263,9 +248,10 @@ class Engine:
         alert = self.ledger.pop_due()
         devices = matching_devices(self.kb.devices, self.ctx.current, alert.kind)
         if devices:
-            record = alert.to_record()  # one record, shared by every device's forward
+            line = _line(alert)
             for device in devices:
-                self._emit("forward_to_device", {"device_id": device.device_id, "alert": record})
+                device_id = encode_basestring_ascii(device.device_id)
+                self._emit_fields("forward_to_device", f'"alert":{line},"device_id":{device_id}')
 
     # -- per-event handlers, each calling its stages in the documented order --
 
@@ -374,7 +360,7 @@ class Engine:
         # sorter stage: attending the item's alert acknowledges the item
         item_kind = MISSED_ITEM_KIND.get(alert.kind)
         if item_kind is not None:
-            self.tally.acknowledge(alert.payload["caller"], item_kind)
+            self.tally.acknowledge(json.loads(f"{{{alert.fields}}}")["caller"], item_kind)
         # forwarder stage: a pending entry attended in time never forwards
         self.ledger.attend(alert_id)
 

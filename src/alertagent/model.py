@@ -345,19 +345,14 @@ FAILURE_REASONS = ("switched_off", "unreachable", "dropped")
 
 
 class Alert(NamedTuple):
-    """One output decision. ``seq`` is unique and strictly increasing per run."""
+    """One output decision. ``seq`` is unique and strictly increasing per run.
+    ``fields`` is the text of its payload fields exactly as its log line holds
+    them: keys sorted, compact JSON, without the outer braces."""
 
     t: int
     seq: int
     kind: str
-    payload: dict[str, Any]
-
-    def to_record(self) -> dict[str, Any]:
-        """Flat record in canonical key order: t, seq, kind, then sorted payload keys."""
-        record: dict[str, Any] = {"t": self.t, "seq": self.seq, "kind": self.kind}
-        for key in sorted(self.payload):
-            record[key] = self.payload[key]
-        return record
+    fields: str
 
 
 _SNAPSHOT_ENTRY = {

@@ -167,10 +167,15 @@ def kb_with(groups: dict[str, Group]) -> KnowledgeBase:
     return KnowledgeBase(contacts={cid: Contact(cid, cid, group) for cid, group in groups.items()})
 
 
-def entry_dicts(entries: str) -> list[dict[str, Any]]:
+def decoded(fields: str) -> dict[str, Any]:
+    """An alert's fields text, decoded."""
+    return json.loads(f"{{{fields}}}")
+
+
+def entry_dicts(fields: str) -> list[dict[str, Any]]:
     """A snapshot's entries as {caller, kind, score} dicts: the tally ranks them
-    into their JSON array text, and a read-back log's snapshot holds the same text."""
-    return json.loads(entries)
+    into a snapshot alert's fields text, and a read-back log's snapshot holds the same text."""
+    return decoded(fields)["entries"]
 
 
 def snapshot_score(record: Record, group: Group, now_ms: int, floor: float) -> float:

@@ -8,13 +8,13 @@ import math
 import pytest
 
 from alertagent.cli import main
+from alertagent.config import load_config
 from alertagent.engine import parse_scenario, read_alert_log
 from alertagent.errors import AlertLogError, ScenarioError
-from alertagent.kb import SafetyRecord
+from alertagent.kb import SafetyRecord, load_kb
 from alertagent.model import (
     ALERT_KINDS,
     AgentConfig,
-    Alert,
     BatteryAction,
     BatteryActionSpec,
     Event,
@@ -22,11 +22,14 @@ from alertagent.model import (
 from alertagent.sorter import MissedItemTally
 
 from helpers import (
+    ROOT,
     contact_doc,
+    decoded,
     entry_dicts,
     kb_doc,
     kb_text,
     kinds_of,
+    load_bench_gen,
     load_kb_doc,
     log_text,
     make_scenario,
@@ -367,7 +370,7 @@ def test_battery_burst_snapshot_matches_sorter_state():
     tally.add("b1", "call", 0, kb.contact_group("b1"))
     tally.add("a1", "message", 2000, kb.contact_group("a1"))
     # The snapshot's entries are written as the tally's text, byte for byte.
-    assert snapshot.endswith(f'"entries":{tally.snapshot(60_000, config.sorter_t_floor_min)}}}')
+    assert snapshot.endswith(f'{tally.snapshot(60_000, config.sorter_t_floor_min)}}}')
 
 
 def test_battery_divert_replaces_ring_and_inform_reacts():
@@ -717,13 +720,16 @@ def test_alert_log_round_trip():
     assert [(a.t, a.seq, a.kind) for a in parsed] == [
         (r["t"], r["seq"], r["kind"]) for r in records(log)
     ]
-    assert log.splitlines()[-1].endswith(f'"entries":{parsed[-1].payload["entries"]}}}')
+    assert log.splitlines()[-1].endswith(f',{parsed[-1].fields}}}')
 
 
 def test_write_alert_log_gives_a_path_the_same_bytes_as_a_stream(tmp_path):
+    # A prompt's payload is built out of key order (prompt_id, callee, reason):
+    # the line sorts it after t, seq and kind.
     lines = [
         {"t": 0, "type": "call_start", "caller": "c1"},
         {"t": 100, "type": "call_end"},
+        {"t": 120, "type": "call_failed", "callee": "c9", "reason": "dropped"},
         {"t": 150, "type": "message_received", "caller": "Zoé"},
         {"t": 200, "type": "snapshot_request"},
     ]
@@ -734,7 +740,8 @@ def test_write_alert_log_gives_a_path_the_same_bytes_as_a_stream(tmp_path):
     assert main(["run", "--scenario", str(scenario), "--kb", str(kb), "--out", str(path)]) == 0
     assert log == "".join(canonical(r) + "\n" for r in records(log))
     assert path.read_bytes() == log.encode("utf-8")
-    assert len(records(log)) == 3 and path.read_bytes().isascii()
+    assert len(records(log)) == 4 and path.read_bytes().isascii()
+    assert list(records(log)[1]) == ["t", "seq", "kind", "callee", "prompt_id", "reason"]
 
 
 def test_rewriting_a_read_log_sorts_top_level_keys_and_keeps_nested_ones():
@@ -777,6 +784,28 @@ def test_forwards_of_one_due_alert_are_each_compact_json_dumps():
     assert log.splitlines() == [canonical(r) for r in records(log)]
 
 
+@pytest.mark.parametrize("case", ["sample"] + [
+    f"{workload}-{seed}" for workload in ("busy_day", "callback_snapshots", "unreachable_callees")
+    for seed in (1, 2, 3)])
+def test_a_forward_carries_the_line_of_the_alert_it_names(case, tmp_path):
+    # A forward's alert is, byte for byte, the line of the seq it names, as the
+    # log numbers its lines by seq from 1. The workloads run at scale 0.05.
+    inputs = ROOT / "sample"
+    if case != "sample":
+        workload, seed = case.rsplit("-", 1)
+        inputs = tmp_path
+        load_bench_gen().generate(workload, int(seed), inputs, 0.05)
+    scenario = (inputs / "scenario.jsonl").read_text(encoding="utf-8")
+    log = replay(scenario, load_kb(inputs / "kb.json"), load_config(inputs / "config.json")).log
+    lines = log.splitlines()
+    forwards = [line for line in lines if json.loads(line)["kind"] == "forward_to_device"]
+    assert forwards
+    for line in forwards:
+        start = line.index('"alert":') + len('"alert":')
+        alert, end = json.JSONDecoder().raw_decode(line, start)
+        assert line[start:end] == lines[alert["seq"] - 1]
+
+
 def test_rewriting_forwards_keeps_each_nested_key_order():
     text = (
         '{"t":60000,"seq":3,"kind":"forward_to_device",'
@@ -785,7 +814,7 @@ def test_rewriting_forwards_keeps_each_nested_key_order():
         '"alert":{"caller":"c1","kind":"ring","seq":1,"t":0},"device_id":"laptop"}\n'
     )
     alerts = read_alert_log(io.StringIO(text))
-    assert alerts[0].payload["alert"] == alerts[1].payload["alert"]
+    assert decoded(alerts[0].fields)["alert"] == decoded(alerts[1].fields)["alert"]
     assert log_text(alerts) == text
 
 
@@ -799,7 +828,7 @@ def test_rewriting_snapshots_keeps_each_entry_as_written():
         '{"t":60002,"seq":2,"kind":"sorted_list_snapshot","entries":[]}\n'
     )
     alerts = read_alert_log(io.StringIO(text))
-    assert entry_dicts(alerts[0].payload["entries"])[0] == {
+    assert entry_dicts(alerts[0].fields)[0] == {
         "score": 2, "kind": "call", "caller": 'q"é'
     }
     assert log_text(alerts) == text
@@ -837,17 +866,23 @@ _EVERY_KIND_LOG = (
 def test_written_line_is_compact_json_dumps_for_every_kind():
     alerts = read_alert_log(io.StringIO(_EVERY_KIND_LOG))
     assert {alert.kind for alert in alerts} == set(ALERT_KINDS)
-    assert all(not {"t", "seq", "kind"} & alert.payload.keys() for alert in alerts)
+    assert all(not {"t", "seq", "kind"} & decoded(alert.fields).keys() for alert in alerts)
     assert log_text(alerts).split("\n") == [canonical(r) for r in records(_EVERY_KIND_LOG)] + [""]
 
 
 @pytest.mark.parametrize("score", [math.inf, -math.inf, math.nan])
-def test_written_log_refuses_a_non_finite_number(score):
-    # A snapshot's scores become text in the tally, which refuses them there
-    # (test_sorter); every other number is written by the encoder.
-    warning = Alert(0, 1, "radiation_precall_warning", {"caller": "c1", "probability": score})
-    with pytest.raises(ValueError):
-        log_text([warning])
+def test_written_log_refuses_a_non_finite_number(tmp_path, monkeypatch, capsys, score):
+    # A payload is encoded when its alert is raised, and the encoder refuses NaN
+    # and Infinity, which are not JSON: the run fails before any output file is
+    # opened. No KB gives a non-finite probability, so one is put in. A snapshot's
+    # scores become text in the tally, which refuses them there (test_sorter).
+    monkeypatch.setattr("alertagent.engine.unsafe_probability", lambda record: score)
+    scenario, kb, out = tmp_path / "scenario.jsonl", tmp_path / "kb.json", tmp_path / "log.jsonl"
+    scenario.write_text('{"t": 0, "type": "call_start", "caller": "c1"}\n', encoding="utf-8")
+    kb.write_text(json.dumps(kb_doc(safety={"c1": {"total": 3, "unsafe": 3}})), encoding="utf-8")
+    assert main(["run", "--scenario", str(scenario), "--kb", str(kb), "--out", str(out)]) == 2
+    assert "not JSON compliant" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_alert_table_covers_every_alert_kind():

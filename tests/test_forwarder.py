@@ -35,14 +35,14 @@ def test_forwarding_is_inert_in_unknown_context():
 def test_ledger_tracks_with_deadline():
     ledger = AttendanceLedger(window_ms=60_000)
     assert ledger.next_deadline() is None
-    alert = Alert(t=1000, seq=1, kind="ring", payload={"caller": "c1"})
+    alert = Alert(t=1000, seq=1, kind="ring", fields='"caller":"c1"')
     ledger.track(alert)
     assert ledger.next_deadline() == 61_000
 
 
 def test_attend_removes_entry_once():
     ledger = AttendanceLedger(window_ms=60_000)
-    ledger.track(Alert(t=0, seq=1, kind="ring", payload={}))
+    ledger.track(Alert(t=0, seq=1, kind="ring", fields=""))
     assert ledger.attend(1) is True
     assert ledger.attend(1) is False
     # An attended alert leaves no deadline behind.
@@ -51,7 +51,7 @@ def test_attend_removes_entry_once():
 
 def test_pop_due_takes_the_alert_out():
     ledger = AttendanceLedger(window_ms=60_000)
-    alert = Alert(t=0, seq=7, kind="beep", payload={})
+    alert = Alert(t=0, seq=7, kind="beep", fields="")
     ledger.track(alert)
     assert ledger.pop_due() is alert
     assert ledger.next_deadline() is None
@@ -60,8 +60,8 @@ def test_pop_due_takes_the_alert_out():
 
 def test_entries_are_independent():
     ledger = AttendanceLedger(window_ms=10)
-    ledger.track(Alert(t=0, seq=1, kind="ring", payload={}))
-    beep = Alert(t=5, seq=2, kind="beep", payload={})
+    ledger.track(Alert(t=0, seq=1, kind="ring", fields=""))
+    beep = Alert(t=5, seq=2, kind="beep", fields="")
     ledger.track(beep)
     assert ledger.attend(1) is True
     assert ledger.next_deadline() == 15
@@ -71,7 +71,7 @@ def test_entries_are_independent():
 
 def test_attending_a_middle_alert_keeps_deadline_order():
     ledger = AttendanceLedger(window_ms=10)
-    alerts = [Alert(t=t, seq=seq, kind="ring", payload={}) for seq, t in enumerate((0, 0, 4), 1)]
+    alerts = [Alert(t=t, seq=seq, kind="ring", fields="") for seq, t in enumerate((0, 0, 4), 1)]
     for alert in alerts:
         ledger.track(alert)
     assert ledger.attend(2) is True

@@ -140,16 +140,43 @@ def _through(run: Replay, t: int) -> tuple[str, list[str]]:
     return "".join(lines), notes
 
 
-@pytest.mark.parametrize(
-    "case", ["sample"] + [f"{workload}-{seed}" for workload in CASES[1:] for seed in (1, 2, 3)]
-)
+def _cuts_late_in_a_call(lines: list[str], times: list[int], limit_ms: int) -> list[int]:
+    """Each cut k that falls inside a call begun at least ``limit_ms`` before t[k-1]:
+    an exposure warning may be due before the cut, and the call ends after it."""
+    cuts, start = [], None
+    for k in range(1, len(lines)):
+        kind = json.loads(lines[k - 1])["type"]
+        if kind == "call_start" and start is None:
+            start = times[k - 1]
+        elif kind == "call_end":
+            start = None
+        if start is not None and times[k - 1] < times[k] and times[k - 1] - start >= limit_ms:
+            cuts.append(k)
+    return cuts
+
+
+def _end_soon_after_a_crossing(limit_ms: int) -> list[str]:
+    """A call that ends 30 s after its exposure crossing, a message between the two.
+    No workload at scale 0.05 and seeds 1 to 3 has an event between a crossing and
+    a call end or safety entry less than 60 s after it, so only this input shows a
+    crossing that looks up to 60 s past its own instant."""
+    events = [{"t": 0, "type": "call_start", "caller": "c1"},
+              {"t": limit_ms + 10_000, "type": "message_received", "caller": "c2"},
+              {"t": limit_ms + 30_000, "type": "call_end"}]
+    return [json.dumps(event) + "\n" for event in events]
+
+
+@pytest.mark.parametrize("case", ["sample", "end_soon_after_a_crossing"] + [
+    f"{workload}-{seed}" for workload in CASES[1:] for seed in (1, 2, 3)])
 def test_no_line_depends_on_a_later_instant(case, tmp_path):
     """The scenario cut after its last event at an instant T runs, up to T, as the
     whole scenario does: the same log lines and the same diagnostics, bar the cut
     run's own note on a call still active at its end. The workloads run at scale
-    0.05 and seeds 1 to 3. Every cut of sample/ and of callback_snapshots is
-    replayed; of the two longer workloads, eight seeded cuts each."""
-    if case == "sample":
+    0.05 and seeds 1 to 3. Every cut of sample/, of a call that ends soon after
+    its crossing and of callback_snapshots is replayed; of the two longer
+    workloads, eight seeded cuts each and every cut late in a call, where a
+    crossing's look at its own instant could read past it."""
+    if "-" not in case:
         inputs = ROOT / "sample"
     else:
         workload, seed = case.rsplit("-", 1)
@@ -157,10 +184,13 @@ def test_no_line_depends_on_a_later_instant(case, tmp_path):
         load_bench_gen().generate(workload, int(seed), inputs, 0.05)
     kb, config = _kb_and_config(inputs)
     lines = (inputs / "scenario.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    if case == "end_soon_after_a_crossing":
+        lines = _end_soon_after_a_crossing(config.safe_call_limit_ms)
     times = [json.loads(line)["t"] for line in lines]
     cuts = [k for k in range(1, len(lines)) if times[k - 1] < times[k]]
     if case.startswith(("busy_day", "unreachable_callees")):
-        cuts = random.Random(case).sample(cuts, 8)
+        late = _cuts_late_in_a_call(lines, times, config.safe_call_limit_ms)
+        cuts = sorted(set(random.Random(case).sample(cuts, 8)) | set(late))
     full = replay("".join(lines), kb, config)
     for k in cuts:
         log, notes = _through(replay("".join(lines[:k]), kb, config), times[k - 1])

@@ -45,7 +45,7 @@ def test_score_floor_clamps_fresh_items():
 
 
 def test_sort_empty():
-    assert MissedItemTally().snapshot(0, FLOOR) == "[]"
+    assert MissedItemTally().snapshot(0, FLOOR) == '"entries":[]'
 
 
 def test_sort_two_records_highest_first():
@@ -120,7 +120,7 @@ def test_entry_text_is_compact_json_dumps():
                     "score": r.n / ((now - r.latest_time_ms) / 60000.0)}, separators=(",", ":"))
         for r in reversed(records)
     ]
-    assert text == "[" + ",".join(expected) + "]"
+    assert text == '"entries":[' + ",".join(expected) + "]"
 
 
 @pytest.mark.parametrize("floor", [5e-324, math.nan], ids=["inf", "nan"])
