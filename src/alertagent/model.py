@@ -43,17 +43,6 @@ _DECODER = json.JSONDecoder(
 _SCAN_LINE = json.JSONDecoder(parse_constant=_finite_float, parse_float=_finite_float).scan_once
 
 
-def _read_text(source: str | Path | IO[str], error: type[InputError]) -> str:
-    """Whole text of a file path (UTF-8) or of an open text stream."""
-    if not isinstance(source, (str, Path)):
-        return source.read()
-    try:
-        return Path(source).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        line = exc.object[: exc.start].count(b"\n") + 1
-        raise error(f"line {line}: invalid UTF-8: {exc.reason}") from exc
-
-
 def _decode(text: str, error: type[InputError], line: int | None = None) -> Any:
     """Decode one JSON text; ``line`` is its line number when it is one line of a file."""
     where = "" if line is None else f"line {line}: "
@@ -88,8 +77,8 @@ def _fault_where(text: str, fault: str) -> str:
 
 
 def read_json(source: str | Path | IO[str], error: type[InputError]) -> Any:
-    """Strictly decode a whole JSON document; any fault raises ``error``."""
-    return _decode(_read_text(source, error), error)
+    """Strictly decode a whole JSON document read by ``_lines``; any fault raises ``error``."""
+    return _decode("".join(_lines(source, error)), error)
 
 
 def _key_count(value: dict) -> int:

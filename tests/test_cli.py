@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 import os
 import subprocess
@@ -8,7 +9,10 @@ import sys
 import pytest
 
 from alertagent.cli import main
+from alertagent.config import load_config
+from alertagent.errors import InputError
 from alertagent.kb import load_kb
+from alertagent.model import read_json
 
 from helpers import ROOT, contact_doc, kb_doc
 
@@ -408,18 +412,38 @@ _FAULTS = {
     "1e999": ('{"total": 1e999, "unsafe": 0}', "1e999 is not a finite number"),
     "nesting": ("[" * 100_000 + "]" * 100_000, "nested too deeply"),
 }
+# Every input ends a line at "\n" only: a CRLF document names the LF one's line,
+# and in a document whose lines end in a lone "\r" every fault is on line 1.
+_LINE_ENDS = pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
 
 
+def _write_with_ends(path, text: str, end: str) -> str:
+    """Write ``text`` with each "\\n" replaced by ``end``; the text as written."""
+    text = text.replace("\n", end)
+    path.write_text(text, encoding="utf-8", newline="")
+    return text
+
+
+def _read_json_error(source) -> str:
+    with pytest.raises(InputError) as err:
+        read_json(source, InputError)
+    return str(err.value)
+
+
+@_LINE_ENDS
 @pytest.mark.parametrize("fault", _FAULTS)
 @pytest.mark.parametrize(
     "option, layout", [("--kb", _KB_FAULT), ("--config", _CONFIG_FAULT)], ids=["kb", "config"]
 )
-def test_whole_document_fault_names_its_line(tmp_path, capsys, option, layout, fault):
+def test_whole_document_fault_names_its_line(tmp_path, capsys, option, layout, fault, end):
     value, message = _FAULTS[fault]
     path = tmp_path / "input.json"
-    path.write_text(layout % value, encoding="utf-8")
+    text = _write_with_ends(path, layout % value, end)
+    line = 1 if end == "\r" else 5
     assert main(["validate", option, str(path)]) == 1
-    assert f"line 5: invalid JSON: {message}" in _assert_input_error(capsys, path, line=5)
+    assert f"line {line}: invalid JSON: {message}" in _assert_input_error(capsys, path, line)
+    # An open stream of the same text gives the same error text.
+    assert _read_json_error(io.StringIO(text)) == _read_json_error(path)
 
 
 # Faults a line or more past where the object or array around them opens; the
@@ -431,18 +455,30 @@ _FAULTS_MET_LATER = {
 }
 
 
+@_LINE_ENDS
 @pytest.mark.parametrize("fault", _FAULTS_MET_LATER)
 @pytest.mark.parametrize(
     "option, layout", [("--kb", _KB_FAULT), ("--config", _CONFIG_FAULT)], ids=["kb", "config"]
 )
 def test_whole_document_fault_names_the_line_where_it_is_met(
-    tmp_path, capsys, option, layout, fault
+    tmp_path, capsys, option, layout, fault, end
 ):
     value, line, message = _FAULTS_MET_LATER[fault]
     path = tmp_path / "input.json"
-    path.write_text(layout % value, encoding="utf-8")
+    _write_with_ends(path, layout % value, end)
+    line = 1 if end == "\r" else line
     assert main(["validate", option, str(path)]) == 1
     assert f"line {line}: invalid JSON: {message}" in _assert_input_error(capsys, path, line)
+
+
+@_LINE_ENDS
+@pytest.mark.parametrize("name, load", [("kb.json", load_kb), ("config.json", load_config)],
+                         ids=["kb", "config"])
+def test_sample_document_loads_the_same_with_any_line_end(tmp_path, name, load, end):
+    path = tmp_path / name
+    text = _write_with_ends(path, (ROOT / "sample" / name).read_text(encoding="utf-8"), end)
+    assert read_json(io.StringIO(text), InputError) == read_json(path, InputError)
+    assert load(path) == load(ROOT / "sample" / name)
 
 
 _NOT_UTF8 = b'\n{"caller": "caf\xe9"}\n'
@@ -451,20 +487,15 @@ _TOO_DEEP = b"\n" + b"[" * 100_000 + b"]" * 100_000 + b"\n"
 
 @pytest.mark.parametrize("payload", [_NOT_UTF8, _TOO_DEEP], ids=["not_utf8", "too_deep"])
 @pytest.mark.parametrize(
-    "argv, line",
-    [
-        (["validate", "--scenario"], 2),
-        (["validate", "--kb"], None),
-        (["validate", "--config"], None),
-        (["report", "--log"], 2),
-    ],
+    "argv",
+    [["validate", "--scenario"], ["validate", "--kb"], ["validate", "--config"], ["report", "--log"]],
     ids=["scenario", "kb", "config", "log"],
 )
-def test_undecodable_input_is_code_1(tmp_path, capsys, argv, line, payload):
+def test_undecodable_input_is_code_1(tmp_path, capsys, argv, payload):
     path = tmp_path / "input.json"
     path.write_bytes(payload)
     assert main(argv + [str(path)]) == 1
-    _assert_input_error(capsys, path, line)
+    _assert_input_error(capsys, path, line=2)
 
 
 @pytest.mark.parametrize(

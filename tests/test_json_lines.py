@@ -15,7 +15,7 @@ import random
 import pytest
 
 from alertagent.errors import InputError
-from alertagent.model import _decode, read_json_lines
+from alertagent.model import _decode, read_json, read_json_lines
 
 _KEYS = ['"t"', '"type"', '"a:b"', '":"', '"\\u003a"', '"c\\u003ad"', '"q\\""', '"caller"']
 _ATOMS = [
@@ -199,12 +199,15 @@ def test_a_path_splits_lines_at_newline_only(tmp_path):
     (b'{"t":0}\n{"a":"caf\xe9\n', 2, "invalid continuation byte"),
     (b'{"t":0}\n\n{"a":"caf\xe9', 3, "unexpected end of data"),
 ], ids=["mid_file", "before_last_newline", "at_eof"])
-def test_a_bad_byte_names_its_line_and_the_whole_file_reason(tmp_path, data, line, reason):
+@pytest.mark.parametrize("read", [
+    lambda path: list(read_json_lines(path, InputError)), lambda path: read_json(path, InputError)
+], ids=["json_lines", "whole_document"])
+def test_a_bad_byte_names_its_line_and_the_whole_file_reason(tmp_path, data, line, reason, read):
     path = tmp_path / "lines.jsonl"
     path.write_bytes(data)
     with pytest.raises(UnicodeDecodeError) as whole:
         data.decode("utf-8")
     assert whole.value.reason == reason
     with pytest.raises(InputError) as err:
-        list(read_json_lines(path, InputError))
+        read(path)
     assert str(err.value) == f"line {line}: invalid UTF-8: {reason}"
