@@ -7,9 +7,7 @@ and produces a reproducible alert log.
 """
 
 from .context import Context, ContextEngine
-from .engine import (
-    AlertLog, Engine, Scenario, parse_scenario, read_alert_log, run_scenario, write_alert_log,
-)
+from .engine import AlertLog, Engine, Scenario, parse_scenario, read_alert_log, write_alert_log
 from .errors import AlertLogError, ConfigError, InputError, KnowledgeBaseError, ScenarioError
 from .forwarder import DeviceRegistration
 from .kb import KnowledgeBase, SafetyRecord, load_kb, save_kb
@@ -26,5 +24,5 @@ __all__ = [
     "ConfigError", "Contact", "Context", "ContextEngine", "DeviceRegistration", "Engine", "Event",
     "Group", "InputError", "KnowledgeBase", "KnowledgeBaseError", "SafetyRecord", "Scenario",
     "ScenarioError", "alert_ordinal", "group_weight", "load_config", "load_kb", "parse_scenario",
-    "read_alert_log", "run_scenario", "save_kb", "write_alert_log", "__version__",
+    "read_alert_log", "save_kb", "write_alert_log", "__version__",
 ]

@@ -15,7 +15,7 @@ from collections import Counter
 from pathlib import Path
 
 from .config import load_config
-from .engine import parse_scenario, run_scenario, write_alert_log
+from .engine import Engine, parse_scenario, write_alert_log
 from .errors import AlertLogError, InputError
 from .kb import load_kb, save_kb
 from .model import ALERT_FIELDS, MISSED_ITEM_KIND, AgentConfig, read_records
@@ -37,17 +37,16 @@ def _load_input(path: str, loader):
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    scenario = _load_input(args.scenario, parse_scenario)
     kb = _load_input(args.kb, load_kb)
     config = _load_input(args.config, load_config) if args.config else AgentConfig()
-
-    log, final_kb = run_scenario(scenario, config, kb)
-
+    engine = Engine(config, kb)
+    scenario = parse_scenario(args.scenario)  # read as the run consumes it
+    log = _load_input(args.scenario, lambda _: engine.run(scenario))
     write_alert_log(log, args.out)
     if args.kb_out:
-        save_kb(final_kb, args.kb_out)
+        save_kb(engine.kb, args.kb_out)
     print(
-        f"scenario={Path(args.scenario).stem} events={len(scenario.events)} "
+        f"scenario={Path(args.scenario).stem} events={scenario.count} "
         f"alerts={len(log.entries)} diagnostics={len(log.diagnostics)}"
     )
     return EXIT_OK
@@ -55,8 +54,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     if args.scenario:
-        scenario = _load_input(args.scenario, parse_scenario)
-        print(f"ok: scenario with {len(scenario.events)} events")
+        count = _load_input(args.scenario, lambda path: sum(1 for _ in parse_scenario(path)))
+        print(f"ok: scenario with {count} events")
     elif args.kb:
         kb = _load_input(args.kb, load_kb)
         print(

@@ -14,7 +14,7 @@ from typing import Any, Iterable, NamedTuple
 import pytest
 
 from alertagent.engine import (
-    AlertLog, Scenario, parse_scenario, read_alert_log, run_scenario, write_alert_log,
+    AlertLog, Engine, Scenario, parse_scenario, read_alert_log, write_alert_log,
 )
 from alertagent.kb import KnowledgeBase, load_kb, save_kb
 from alertagent.model import AgentConfig, Alert, Contact, Group, group_weight
@@ -81,8 +81,9 @@ def replay(scenario: Scenario | str | Iterable[dict], kb: dict | KnowledgeBase |
         scenario = parse_scenario(io.StringIO(text))
     if not isinstance(kb, KnowledgeBase):
         kb = load_kb_doc(kb or kb_doc())
-    log, final_kb = run_scenario(scenario, config or AgentConfig(), kb)
-    return Replay(log_text(log.entries), kb_text(final_kb), log.diagnostics)
+    engine = Engine(config or AgentConfig(), kb)
+    log = engine.run(scenario)
+    return Replay(log_text(log.entries), kb_text(engine.kb), log.diagnostics)
 
 
 def records(log: str) -> list[dict[str, Any]]:

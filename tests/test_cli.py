@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -75,12 +76,71 @@ def test_run_reports_bad_line_number(workspace, capsys):
     bad = tmp_path / "bad.jsonl"
     good = '{"t": 0, "type": "battery_level", "pct": 50}'
     bad.write_text("\n".join([good] * 6 + ["{broken"]) + "\n", encoding="utf-8")
-    code = main(
-        ["run", "--scenario", str(bad), "--kb", str(kb), "--out", str(tmp_path / "o")]
-    )
+    out, kb_out = tmp_path / "o", tmp_path / "kb-out"
+    code = main(["run", "--scenario", str(bad), "--kb", str(kb), "--out", str(out),
+                 "--kb-out", str(kb_out)])
     assert code == 1
     err = capsys.readouterr().err
     assert "line 7" in err and "bad.jsonl" in err
+    assert not out.exists() and not kb_out.exists()
+
+
+def test_a_fault_on_the_last_line_leaves_no_output(workspace, capsys):
+    # Enough events that the run dispatches some before it reads the last line.
+    tmp_path, _, kb, _ = workspace
+    lines = [{"t": t, "type": "message_received", "caller": "c1"} for t in range(1, 1001)]
+    lines.append({"t": 0, "type": "snapshot_request"})
+    scenario = tmp_path / "late.jsonl"
+    scenario.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    out, kb_out = tmp_path / "o", tmp_path / "kb-out"
+    code = main(["run", "--scenario", str(scenario), "--kb", str(kb), "--out", str(out),
+                 "--kb-out", str(kb_out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {scenario}: line 1001: timestamp 0 is earlier than the previous event at 1000\n"
+    )
+    assert not out.exists() and not kb_out.exists()
+
+
+def test_run_checks_the_kb_before_it_reads_the_scenario(workspace, capsys):
+    tmp_path, _, _, _ = workspace
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("{broken\n", encoding="utf-8")
+    missing = tmp_path / "nope.json"
+    code = main(["run", "--scenario", str(bad), "--kb", str(missing), "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(missing) in err and "bad.jsonl" not in err
+
+
+def _peak_traced_bytes(tmp_path, events: int) -> int:
+    """tracemalloc's peak over ``alertagent run`` of a scenario that raises no alert."""
+    scenario = tmp_path / f"quiet-{events}.jsonl"
+    with open(scenario, "w", encoding="utf-8") as out:
+        for t in range(events):
+            if t % 2:
+                out.write(f'{{"t": {t}, "type": "user_context", "context": "Home"}}\n')
+            else:
+                out.write(f'{{"t": {t}, "type": "sensor", "signal_kind": "proximity", '
+                          f'"signal_value": "near"}}\n')
+    kb = tmp_path / "kb.json"
+    kb.write_text(json.dumps(kb_doc()), encoding="utf-8")
+    argv = ["run", "--scenario", str(scenario), "--kb", str(kb), "--out", str(tmp_path / "o")]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    return peak
+
+
+def test_run_memory_does_not_grow_with_the_event_count(tmp_path, capsys):
+    small = _peak_traced_bytes(tmp_path, 5_000)
+    large = _peak_traced_bytes(tmp_path, 20_000)
+    assert capsys.readouterr().out.count("alerts=0 ") == 2
+    assert large - small <= 256 * 1024, (small, large)
 
 
 def test_run_missing_input_file_is_code_1(workspace, capsys):

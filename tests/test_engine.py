@@ -4,6 +4,9 @@ import gc
 import io
 import json
 import math
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -56,15 +59,14 @@ def canonical(record):
 
 
 def test_parse_empty_file():
-    scenario = parse_scenario(io.StringIO(""))
-    assert scenario.events == []
+    assert list(parse_scenario(io.StringIO(""))) == []
 
 
 def test_parse_single_event_and_seq_by_line_number():
     text = '\n{"t": 0, "type": "battery_level", "pct": 50}\n'
-    scenario = parse_scenario(io.StringIO(text))
-    assert len(scenario.events) == 1
-    assert scenario.events[0].seq == 2  # blank first line still counts
+    events = list(parse_scenario(io.StringIO(text)))
+    assert len(events) == 1
+    assert events[0].seq == 2  # blank first line still counts
 
 
 def test_parse_splits_lines_at_newline_only():
@@ -72,15 +74,15 @@ def test_parse_splits_lines_at_newline_only():
         '{"t": 0, "type": "message_received", "caller": "a\u2028b\x85c"}\n'
         '{"t": 1, "type": "call_end"}'
     )
-    scenario = parse_scenario(io.StringIO(text))
-    assert scenario.events[0].data["caller"] == "a\u2028b\x85c"
-    assert [ev.seq for ev in scenario.events] == [1, 2]
+    events = list(parse_scenario(io.StringIO(text)))
+    assert events[0].data["caller"] == "a\u2028b\x85c"
+    assert [ev.seq for ev in events] == [1, 2]
 
 
 def test_parse_strips_json_whitespace_around_a_line():
     text = ' \t{"t": 0, "type": "call_end"}\t \r\n \t\r\n{"t": 1, "type": "call_end"}\r\n'
-    scenario = parse_scenario(io.StringIO(text))
-    assert [(ev.t, ev.seq) for ev in scenario.events] == [(0, 1), (1, 3)]
+    events = list(parse_scenario(io.StringIO(text)))
+    assert [(ev.t, ev.seq) for ev in events] == [(0, 1), (1, 3)]
 
 
 def test_parse_leaves_omitted_fields_out_and_drops_t_and_type_from_data():
@@ -90,7 +92,7 @@ def test_parse_leaves_omitted_fields_out_and_drops_t_and_type_from_data():
         '{"t": 2, "type": "call_end"}\n'
         '{"t": 3, "type": "battery_level", "pct": 50}\n'
     )
-    events = parse_scenario(io.StringIO(text)).events
+    events = list(parse_scenario(io.StringIO(text)))
     assert events[0].data == {"caller": "c1"}  # an omitted safety stays omitted
     assert events[1].data == {"safety": True, "caller": "c2"}
     assert events[2].data == {}
@@ -100,7 +102,7 @@ def test_parse_leaves_omitted_fields_out_and_drops_t_and_type_from_data():
 
 def test_parse_rejects_out_of_range_pct():
     with pytest.raises(ScenarioError) as err:
-        parse_scenario(io.StringIO('{"t": 0, "type": "battery_level", "pct": 101}'))
+        list(parse_scenario(io.StringIO('{"t": 0, "type": "battery_level", "pct": 101}')))
     assert "pct" in str(err.value)
 
 
@@ -110,7 +112,7 @@ def test_parse_rejects_out_of_order_timestamps():
         '{"t": 4, "type": "battery_level", "pct": 50}'
     )
     with pytest.raises(ScenarioError) as err:
-        parse_scenario(io.StringIO(text))
+        list(parse_scenario(io.StringIO(text)))
     assert str(err.value) == "line 2: timestamp 4 is earlier than the previous event at 5"
 
 
@@ -118,7 +120,7 @@ def test_parse_names_the_bad_line_and_field():
     lines = ['{"t": %d, "type": "battery_level", "pct": 50}' % i for i in range(6)]
     lines.append('{"t": 9, "type": "call_start"}')  # missing caller on line 7
     with pytest.raises(ScenarioError) as err:
-        parse_scenario(io.StringIO("\n".join(lines)))
+        list(parse_scenario(io.StringIO("\n".join(lines))))
     message = str(err.value)
     assert "line 7" in message and "caller" in message
 
@@ -140,7 +142,7 @@ def test_parse_names_the_bad_line_and_field():
 )
 def test_parse_rejects_malformed_lines(line, fragment):
     with pytest.raises(ScenarioError) as err:
-        parse_scenario(io.StringIO(line))
+        list(parse_scenario(io.StringIO(line)))
     assert fragment in str(err.value)
 
 
@@ -166,7 +168,7 @@ def test_parse_rejects_malformed_lines(line, fragment):
 )
 def test_line_errors_are_exact(read, first, error, line, message):
     with pytest.raises(error) as err:
-        read(io.StringIO(f"{first}\n{line}\n"))
+        list(read(io.StringIO(f"{first}\n{line}\n")))
     assert str(err.value) == f"line 2: {message}"
 
 
@@ -208,7 +210,7 @@ _ALERT = '{"t":0,"seq":1,"kind":"ring","caller":"c"}'
 )
 def test_tag_faults_are_exact(read, first, line, message):
     with pytest.raises(ScenarioError if read is parse_scenario else AlertLogError) as err:
-        read(io.StringIO(f"{first}\n{line}\n"))
+        list(read(io.StringIO(f"{first}\n{line}\n")))
     assert str(err.value) == message
 
 
@@ -240,12 +242,24 @@ def test_a_run_keeps_no_dispatched_event():
             {"t": t + 800_000, "type": "snapshot_request"},
         ]
     before = _events_alive()
-    scenario = make_scenario(lines)
-    run = replay(scenario)
-    assert len(scenario.events) == 1000
+    run = replay(make_scenario(lines))
     assert _events_alive() == before  # none of the 1000 is kept
     assert run == replay(lines)
     assert "radiation_incall_warning" in kinds_of(run.log)
+
+
+def test_the_bench_counts_every_event_the_run_reads(tmp_path):
+    # bench/child.py divides by the event count it takes from the scenario
+    # after the run, so that count must be every non-blank line.
+    inputs, outputs = tmp_path / "inputs", tmp_path / "outputs"
+    load_bench_gen().generate("busy_day", 1, inputs, 0.05)
+    outputs.mkdir()
+    child = [sys.executable, str(ROOT / "bench" / "child.py"), str(time.monotonic()),
+             str(inputs), str(outputs)]
+    result = json.loads(subprocess.run(child, capture_output=True, text=True,
+                                       check=True).stdout.splitlines()[-1])
+    lines = (inputs / "scenario.jsonl").read_text(encoding="utf-8").splitlines()
+    assert result["events"] == sum(1 for line in lines if line.strip()) > 500
 
 
 def test_input_kb_is_not_mutated():
@@ -651,6 +665,18 @@ def test_warning_skipped_when_safety_starts_exactly_on_the_limit():
         ]
     ).log
     assert "radiation_incall_warning" not in kinds_of(log)
+
+
+@pytest.mark.parametrize("earlier", [0, 1, 300, 1000])
+def test_warning_skipped_when_the_call_ends_late_in_a_crowded_instant(earlier):
+    # The crossing looks ahead through the whole of its instant, however many
+    # events come before it or share it: here 1000 messages precede the call_end.
+    lines = [{"t": 0, "type": "call_start", "caller": "c1"}]
+    lines += [{"t": t, "type": "user_context", "context": "Home"} for t in range(1, earlier + 1)]
+    lines += [{"t": 360_000, "type": "message_received", "caller": "c2"}] * 1000
+    lines.append({"t": 360_000, "type": "call_end"})
+    kinds = kinds_of(replay(lines).log)
+    assert "radiation_incall_warning" not in kinds and kinds.count("beep") == 1000
 
 
 def test_warning_fires_when_unrelated_event_shares_the_instant():
