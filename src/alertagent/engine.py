@@ -13,9 +13,11 @@ whitespace variance, so identical runs produce identical bytes.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import count
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import IO, Any, Iterable, Iterator
@@ -23,7 +25,7 @@ from typing import IO, Any, Iterable, Iterator
 from .battery import BatteryGuard
 from .context import SENSOR_SIGNAL_KINDS, Context, ContextEngine
 from .errors import AlertLogError, ScenarioError
-from .forwarder import AttendanceLedger, matching_devices
+from .forwarder import matching_devices
 from .kb import KnowledgeBase
 from .model import (
     ALERT_FIELDS,
@@ -152,6 +154,10 @@ def read_alert_log(source: str | Path | IO[str]) -> list[Alert]:
 # the exact same instant is a reach, not a crossing, and must not fire.
 _EPOCH_TERMINATORS = frozenset({"call_end", "safety_mode_enter"})
 
+# A deadline's subsystem, which orders same-instant deadlines: an exposure
+# crossing, then a tracker timeout, then the forward of an unattended alert.
+_CROSSING, _TIMEOUT, _FORWARD = range(3)
+
 # The run dispatches events in batches of at least this many (about 0.1 MB), cut
 # between instants: one by one, parse and dispatch interleaved took 10-20% longer.
 _BATCH = 256
@@ -160,11 +166,11 @@ _BATCH = 256
 class Engine:
     """One scenario run. Owns copies of the knowledge base and all state.
 
-    Internal deadlines come from three sources, merged by (t, subsystem): the
-    active call's next exposure crossing, read live from the call monitor;
-    the tracker's delivery timeouts; and the attendance ledger's deadlines.
-    Each source owns the rule for its deadlines and breaks same-instant ties
-    by creation order.
+    Every internal deadline waits in one heap of (t, subsystem, creation
+    number, key), so same-instant deadlines fire by subsystem and then in
+    creation order. A subsystem may drop a deadline before it comes up (the
+    call ends, the delivery report arrives, the alert is attended); the
+    entry is then skipped when it does.
     """
 
     def __init__(self, config: AgentConfig, kb: KnowledgeBase):
@@ -179,11 +185,14 @@ class Engine:
         self.monitor = CallMonitor(config.safe_call_limit_ms)
         self.tracker = CallerTracker(config.tracker_timeout_ms)
         self.tally = MissedItemTally()
-        self.ledger = AttendanceLedger(config.attend_window_ms)
 
         self.clock = 0
         self.entries: list[Alert] = []
         self.diagnostics: list[str] = []
+        self._deadlines: list[tuple[int, int, int, Any]] = []
+        self._created = count()
+        # seq -> user-facing alert neither attended nor forwarded yet
+        self._pending: dict[int, Alert] = {}
         self._handlers = {kind: getattr(self, f"_on_{kind}") for kind in _EVENT_FIELDS}
 
     # -- plumbing -----------------------------------------------------------
@@ -198,7 +207,8 @@ class Engine:
         alert = Alert(self.clock, len(self.entries) + 1, kind, fields)
         self.entries.append(alert)
         if kind in USER_FACING_ALERT_KINDS:
-            self.ledger.track(alert)
+            self._pending[alert.seq] = alert
+            self._push(alert.t + self.config.attend_window_ms, _FORWARD, alert.seq)
 
     def _emit_snapshot(self) -> None:
         fields = self.tally.snapshot(self.clock, self.config.sorter_t_floor_min)
@@ -210,34 +220,34 @@ class Engine:
 
     # -- internal deadlines -------------------------------------------------
 
+    def _push(self, t: int, subsystem: int, key: Any = None) -> None:
+        heapq.heappush(self._deadlines, (t, subsystem, next(self._created), key))
+
+    def _push_crossing(self) -> None:
+        """Queue the active call's next exposure crossing, if its exposure runs."""
+        if self.monitor.next_warning_ms is not None:
+            self._push(self.monitor.next_warning_ms, _CROSSING)
+
     def _fire_deadlines(self, before: float, events: list[Event], index: int) -> None:
-        """Fire every deadline earlier than ``before``; events[index:] are still to come."""
-        monitor, tracker, ledger = self.monitor, self.tracker, self.ledger
-        while True:
-            t = before
-            crossing = monitor.next_warning_at()
-            if crossing is not None and crossing < t:
-                t = crossing
-            timeout = tracker.next_deadline()
-            if timeout is not None and timeout < t:
-                t = timeout
-            attendance = ledger.next_deadline()
-            if attendance is not None and attendance < t:
-                t = attendance
-            if t == before:
-                return
+        """Fire every live deadline earlier than ``before``; events[index:] are still to come."""
+        deadlines = self._deadlines
+        while deadlines and deadlines[0][0] < before:
+            t, subsystem, _, key = heapq.heappop(deadlines)
             self.clock = t
-            # Same-instant ties go by subsystem: radiation, tracker, forwarder.
-            if t == crossing:
-                self._fire_crossing(events, index)
-            elif t == timeout:
-                self._fire_tracker_timeout()
-            else:
-                self._fire_attendance()
+            if subsystem == _CROSSING:
+                if self.monitor.next_warning_ms == t:
+                    self._fire_crossing(events, index)
+            elif subsystem == _TIMEOUT:
+                task = self.tracker.expire(key)
+                if task is not None:
+                    self._emit_tracker("tracker_expired", task)
+            elif (alert := self._pending.pop(key, None)) is not None:
+                self._forward(alert)
 
     def _fire_crossing(self, events: list[Event], index: int) -> None:
         t = self.clock
         exposure = self.monitor.note_warning()
+        self._push_crossing()
         # The exposure stretch must continue strictly past this instant: an
         # epoch-ending event at the same t means the limit was only reached,
         # never exceeded, so the crossing is consumed without a warning.
@@ -249,11 +259,7 @@ class Engine:
             "radiation_incall_warning", {"caller": self.monitor.caller_id, "exposure_ms": exposure}
         )
 
-    def _fire_tracker_timeout(self) -> None:
-        self._emit_tracker("tracker_expired", self.tracker.expire())
-
-    def _fire_attendance(self) -> None:
-        alert = self.ledger.pop_due()
+    def _forward(self, alert: Alert) -> None:
         devices = matching_devices(self.kb.devices, self.ctx.current, alert.kind)
         if devices:
             line = _line(alert)
@@ -296,6 +302,7 @@ class Engine:
                     {"caller": caller, "probability": unsafe_probability(record)},
                 )
             self.monitor.start_call(ev.t, caller, ev.data.get("safety", False))
+            self._push_crossing()
         # sorter stage
         self.tally.add(caller, "call", ev.t, group)
 
@@ -311,6 +318,7 @@ class Engine:
             self._note(f"{ev.kind} with no active call")
         else:
             self.monitor.on_safety(ev.t, entering=ev.kind == "safety_mode_enter")
+            self._push_crossing()
 
     _on_safety_mode_enter = _on_safety_mode_exit = _on_safety_mode
 
@@ -345,6 +353,7 @@ class Engine:
         outcome, task = self.tracker.on_user_response(ev.t, ev.data["prompt_id"], ev.data["answer"])
         if outcome == "accepted":
             assert task is not None
+            self._push(task.expires_ms, _TIMEOUT, task.tracking_msg_id)
             self._emit_tracker("tracker_message", task)
         elif outcome == "ignored":
             self._note(f"user_response for unknown or settled prompt {ev.data['prompt_id']!r}")
@@ -369,8 +378,8 @@ class Engine:
         item_kind = MISSED_ITEM_KIND.get(alert.kind)
         if item_kind is not None:
             self.tally.acknowledge(json.loads(f"{{{alert.fields}}}")["caller"], item_kind)
-        # forwarder stage: a pending entry attended in time never forwards
-        self.ledger.attend(alert_id)
+        # forwarder stage: an alert attended in time never forwards
+        self._pending.pop(alert_id, None)
 
     def _on_sleep_mode(self, ev: Event) -> None:
         self.sleep.set_active(ev.data["on"])

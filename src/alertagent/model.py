@@ -396,8 +396,8 @@ ALERT_FIELDS = Tagged("kind", "alert kind", {"t": need_int(), "seq": need_int()}
 })
 ALERT_KINDS = tuple(ALERT_FIELDS)
 
-# Alert kinds presented directly to the user. Only these enter the attendance
-# ledger and are forwarded to registered devices: a forward carries one's record.
+# Alert kinds presented directly to the user. Only these wait to be attended
+# and are forwarded to registered devices: a forward carries one's record.
 USER_FACING_ALERT_KINDS = frozenset(
     {"ring", "beep", "tracker_notify", "radiation_precall_warning", "radiation_incall_warning"}
 )

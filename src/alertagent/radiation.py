@@ -78,10 +78,6 @@ class CallMonitor:
         self._expose(None)
         return caller_id
 
-    def next_warning_at(self) -> int | None:
-        """Absolute time at which the next exposure warning would be due."""
-        return self.next_warning_ms
-
     def note_warning(self) -> int:
         """Move past the warning due now; returns the exposure it was issued at."""
         due = self.next_warning_ms

@@ -8,7 +8,6 @@ be open per callee at a time. A settled task is forgotten.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 
@@ -19,10 +18,11 @@ class TrackerTask:
     created_ms: int
     reason: str
     tracking_msg_id: str | None = None
+    expires_ms: int | None = None  # when the delivery wait times out, set on consent
 
 
 class CallerTracker:
-    """Owns the open tracking tasks of one run, mints their ids and times out delivery waits.
+    """Owns the open tracking tasks of one run and mints their ids.
 
     A task's state is the index that holds it: ``_consent`` by prompt id while
     it awaits consent, ``_delivery`` by tracking id while it awaits delivery.
@@ -40,8 +40,6 @@ class CallerTracker:
         self._open: dict[str, TrackerTask] = {}  # callee -> its open task
         self._consent: dict[str, TrackerTask] = {}
         self._delivery: dict[str, TrackerTask] = {}
-        # (due, message number, tracking id); the number breaks ties in acceptance order.
-        self._expiries: list[tuple[int, int, str]] = []
 
     def on_call_failed(self, t: int, callee_id: str, reason: str) -> TrackerTask | None:
         """Open a consent prompt for the callee; None while one is already open."""
@@ -57,8 +55,8 @@ class CallerTracker:
     ) -> tuple[str, TrackerTask | None]:
         """Apply a yes/no answer to a prompt.
 
-        Outcomes: "accepted" (tracking message created, delivery timeout
-        scheduled), "declined", or "ignored" for prompts not awaiting consent.
+        Outcomes: "accepted" (tracking message created, ``expires_ms``
+        set), "declined", or "ignored" for prompts not awaiting consent.
         """
         task = self._consent.pop(prompt_id, None)
         if task is None:
@@ -69,8 +67,7 @@ class CallerTracker:
         self._messages += 1
         task.tracking_msg_id = f"m{self._messages}"
         self._delivery[task.tracking_msg_id] = task
-        due = max(t, task.created_ms + self.timeout_ms + 1)
-        heapq.heappush(self._expiries, (due, self._messages, task.tracking_msg_id))
+        task.expires_ms = max(t, task.created_ms + self.timeout_ms + 1)
         return "accepted", task
 
     def _minted(self, tracking_msg_id: str) -> bool:
@@ -98,15 +95,9 @@ class CallerTracker:
         del self._delivery[tracking_msg_id], self._open[task.callee_id]
         return "done", task
 
-    def next_deadline(self) -> int | None:
-        """Earliest delivery timeout of a task still awaiting delivery."""
-        expiries = self._expiries
-        while expiries and expiries[0][2] not in self._delivery:
-            heapq.heappop(expiries)
-        return expiries[0][0] if expiries else None
-
-    def expire(self) -> TrackerTask:
-        """Settle and return the task of the earliest delivery timeout (see next_deadline)."""
-        task = self._delivery.pop(heapq.heappop(self._expiries)[2])
-        del self._open[task.callee_id]
+    def expire(self, tracking_msg_id: str) -> TrackerTask | None:
+        """Settle and return the task whose delivery wait ran out; None if it has settled."""
+        task = self._delivery.pop(tracking_msg_id, None)
+        if task is not None:
+            del self._open[task.callee_id]
         return task

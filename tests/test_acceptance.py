@@ -9,6 +9,7 @@ from __future__ import annotations
 import io
 import itertools
 import json
+import math
 import random
 import time
 from contextlib import contextmanager
@@ -35,6 +36,7 @@ from helpers import (
     tally_of,
 )
 from test_radiation import oracle_warn_times, simulate
+from test_tracker import expire_due
 
 
 @contextmanager
@@ -252,8 +254,7 @@ def run_tracker_path(path) -> int:
         t += 1000
         if step in ("timeout", "end"):  # a day of silence passes
             t += TIMEOUT_MS
-        while (due := tracker.next_deadline()) is not None and due <= t:
-            tracker.expire()
+        expire_due(tracker, t)
         if step == "failed":
             task = tracker.on_call_failed(t, "x", "unreachable")
             if task is not None and first_prompt is None:
@@ -267,7 +268,7 @@ def run_tracker_path(path) -> int:
             outcome, _ = tracker.on_delivery_report(t, first_msg or "m?", step == "pos")
             if outcome == "done":
                 notifies += 1
-    assert tracker.next_deadline() is None
+    assert expire_due(tracker, math.inf) == []
     return notifies
 
 

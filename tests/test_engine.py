@@ -460,6 +460,20 @@ def test_tracker_timeout_fires_during_drain():
     assert expired["t"] == 86_400_001  # created at t=0, strict timeout
 
 
+def test_a_deadline_made_at_the_current_instant_fires_before_its_next_event():
+    # Consent comes after the timeout, so the wait expires at the consent's own
+    # instant: after the tracker_message, before the message sharing that instant.
+    lines = [
+        {"t": 0, "type": "call_failed", "callee": "c3", "reason": "unreachable"},
+        {"t": 2000, "type": "user_response", "prompt_id": "p1", "answer": "yes"},
+        {"t": 2000, "type": "message_received", "caller": "c2"},
+    ]
+    log = replay(lines, config=AgentConfig(tracker_timeout_ms=1000)).log
+    assert [(r["t"], r["kind"]) for r in records(log)] == [
+        (0, "prompt"), (2000, "tracker_message"), (2000, "tracker_expired"), (2000, "beep"),
+    ]
+
+
 def test_late_report_after_timeout_is_ignored():
     lines = [
         {"t": 0, "type": "call_failed", "callee": "c3", "reason": "unreachable"},
@@ -688,6 +702,21 @@ def test_warning_fires_when_unrelated_event_shares_the_instant():
         ]
     ).log
     assert kinds_at(log, 360_000) == ["radiation_incall_warning", "beep"]
+
+
+def test_a_dropped_crossing_never_fires():
+    # Safety mode drops c1's crossing at 360 000 and call_end its next one at
+    # 920 000; neither may fire, not even while c2's exposure runs.
+    lines = [
+        {"t": 0, "type": "call_start", "caller": "c1"},
+        {"t": 100_000, "type": "safety_mode_enter"},
+        {"t": 200_000, "type": "safety_mode_exit"},
+        {"t": 600_000, "type": "call_end"},
+        {"t": 700_000, "type": "call_start", "caller": "c2"},
+        {"t": 1_000_000, "type": "call_end"},
+    ]
+    warnings = [r for r in records(replay(lines).log) if r["kind"] == "radiation_incall_warning"]
+    assert [(r["t"], r["caller"], r["exposure_ms"]) for r in warnings] == [(560_000, "c1", 360_000)]
 
 
 def test_open_call_at_scenario_end_is_abandoned():

@@ -67,17 +67,17 @@ def test_repeated_transitions_are_idempotent():
 def test_call_starting_in_safety_mode_has_no_pending_warning():
     monitor = CallMonitor(LIMIT)
     monitor.start_call(0, "c1", safety=True)
-    assert monitor.next_warning_at() is None
+    assert monitor.next_warning_ms is None
     monitor.on_safety(30_000, entering=False)
-    assert monitor.next_warning_at() == 30_000 + LIMIT
+    assert monitor.next_warning_ms == 30_000 + LIMIT
 
 
 def test_warning_points_advance_by_one_limit_each():
     monitor = CallMonitor(LIMIT)
     monitor.start_call(0, "c1", safety=False)
-    assert monitor.next_warning_at() == LIMIT
+    assert monitor.next_warning_ms == LIMIT
     assert monitor.note_warning() == LIMIT
-    assert monitor.next_warning_at() == 2 * LIMIT
+    assert monitor.next_warning_ms == 2 * LIMIT
     assert monitor.note_warning() == 2 * LIMIT
 
 
@@ -93,7 +93,7 @@ def simulate(initial_safety, transitions, end_t, limit=LIMIT):
     steps = list(transitions) + [(end_t, "end")]
     for when, action in steps:
         while True:
-            due = monitor.next_warning_at()
+            due = monitor.next_warning_ms
             if due is None or due >= when:
                 break
             monitor.note_warning()

@@ -95,7 +95,7 @@ class TrackerMachine(RuleBasedStateMachine):
     def _settle(self, prompt_id: str) -> None:
         self.state[prompt_id] = SETTLED
         del self.open[self.callee[prompt_id]]
-        # A settled task's expiry is dropped, as next_deadline drops it.
+        # A settled task has no expiry left to fire.
         self.expiries = [e for e in self.expiries if e[2] != prompt_id]
 
     @rule(target=prompts, callee=st.sampled_from(("x", "y", "z")), step=STEP_MS)
@@ -174,15 +174,21 @@ class TrackerMachine(RuleBasedStateMachine):
         self.t += step
         self.expiries.sort()
         while self.expiries and self.expiries[0][0] <= self.t:
-            due, _number, prompt_id = self.expiries[0]
-            assert self.tracker.next_deadline() == due
-            assert self.tracker.expire().prompt_id == prompt_id
+            _due, number, prompt_id = self.expiries[0]
+            assert self.tracker.expire(f"m{number}").prompt_id == prompt_id
             self._settle(prompt_id)
+        # The timeout of a task no longer awaiting delivery finds nothing to settle.
+        for msg_id, prompt_id in self.msg.items():
+            if self.state[prompt_id] != DELIVERY:
+                assert self.tracker.expire(msg_id) is None
 
     @invariant()
     def matches_model(self):
         tracker = self.tracker
-        assert tracker.next_deadline() == min(self.expiries, default=(None,))[0]
+        # Each task awaiting delivery expires when the model says it is due.
+        assert {m: task.expires_ms for m, task in tracker._delivery.items()} == {
+            f"m{number}": due for due, number, _ in self.expiries
+        }
         assert set(tracker._consent) == {p for p, s in self.state.items() if s == CONSENT}
         delivery = {m for m, p in self.msg.items() if self.state[p] == DELIVERY}
         assert set(tracker._delivery) == delivery

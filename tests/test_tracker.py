@@ -13,6 +13,17 @@ def held(tracker: CallerTracker) -> tuple[dict, dict, dict]:
     return tracker._open, tracker._consent, tracker._delivery
 
 
+def expire_due(tracker: CallerTracker, t: float) -> list[TrackerTask]:
+    """Expire every delivery wait due by ``t``, as the engine fires them: earliest
+    first, same-instant ones in acceptance order (the stable sort keeps the index's
+    insertion order). Returns what ``expire`` returned."""
+    due = sorted(
+        (task for task in tracker._delivery.values() if task.expires_ms <= t),
+        key=lambda task: task.expires_ms,
+    )
+    return [tracker.expire(task.tracking_msg_id) for task in due]
+
+
 def test_failed_call_opens_consent_prompt():
     tracker = CallerTracker(DAY_MS)
     task = tracker.on_call_failed(0, "c3", "unreachable")
@@ -100,22 +111,22 @@ def test_expiry_requires_strictly_exceeding_the_timeout():
     tracker = CallerTracker(DAY_MS)
     task = tracker.on_call_failed(0, "c3", "unreachable")
     tracker.on_user_response(1000, task.prompt_id, "yes")
-    due = tracker.next_deadline()
+    due = task.expires_ms
     assert due > 3_600_000
     assert DAY_MS < due <= DAY_MS + 3_600_000
     assert due == DAY_MS + 1  # the first instant strictly past the timeout
-    expired = tracker.expire()
+    expired = tracker.expire("m1")
     assert expired is task
     assert held(tracker) == ({}, {}, {})
-    assert tracker.next_deadline() is None
+    assert tracker.expire("m1") is None
 
 
 def test_consent_after_the_timeout_expires_at_once():
     tracker = CallerTracker(DAY_MS)
     task = tracker.on_call_failed(0, "c3", "unreachable")
     tracker.on_user_response(2 * DAY_MS, task.prompt_id, "yes")
-    assert tracker.next_deadline() == 2 * DAY_MS
-    assert tracker.expire() is task
+    assert task.expires_ms == 2 * DAY_MS
+    assert tracker.expire("m1") is task
     assert held(tracker) == ({}, {}, {})
 
 
@@ -125,8 +136,7 @@ def test_expire_leaves_settled_tasks_alone():
     tracker.on_user_response(1000, task.prompt_id, "yes")
     assert tracker.on_delivery_report(2000, "m1", positive=True) == ("done", task)
     # The settled task's timeout is dropped, never fired.
-    assert tracker.next_deadline() is None
-    assert tracker._expiries == []
+    assert tracker.expire("m1") is None
     assert held(tracker) == ({}, {}, {})
 
 
@@ -144,14 +154,14 @@ def test_settled_tasks_are_not_kept():
         assert tracker.on_delivery_report(t + 2, f"m{i}", positive=True)[0] == "done"
     # The tracker is still alive here, and holds none of the 1000 settled tasks.
     assert live_tasks() - before == 0
-    assert tracker.next_deadline() is None
+    assert all(tracker.expire(f"m{i}") is None for i in range(1, 1001))
 
 
 def test_positive_report_after_expiry_is_stale():
     tracker = CallerTracker(DAY_MS)
     task = tracker.on_call_failed(0, "c3", "unreachable")
     tracker.on_user_response(1000, task.prompt_id, "yes")
-    assert tracker.expire() is task
+    assert tracker.expire("m1") is task
     outcome, _ = tracker.on_delivery_report(2 * DAY_MS + 1, "m1", positive=True)
     assert outcome == "stale"
 
@@ -204,8 +214,7 @@ def test_random_interleavings_keep_invariants():
                     notified[task.prompt_id] = notified.get(task.prompt_id, 0) + 1
                     settled.add(task.prompt_id)
             else:
-                while (due := tracker.next_deadline()) is not None and due <= t:
-                    expired = tracker.expire()
+                for expired in expire_due(tracker, t):
                     assert t - expired.created_ms > DAY_MS
                     settled.add(expired.prompt_id)
             # at most one open task per callee, at any instant; the tracker
