@@ -9,8 +9,7 @@ and produces a reproducible alert log.
 from .context import Context, ContextEngine
 from .engine import AlertLog, Engine, Scenario, parse_scenario, read_alert_log, write_alert_log
 from .errors import AlertLogError, ConfigError, InputError, KnowledgeBaseError, ScenarioError
-from .forwarder import DeviceRegistration
-from .kb import KnowledgeBase, SafetyRecord, load_kb, save_kb
+from .kb import DeviceRegistration, KnowledgeBase, SafetyRecord, load_kb, save_kb
 from .config import load_config
 from .model import (
     AgentConfig, Alert, BatteryAction, BatteryActionSpec, Contact, Event, Group, group_weight,

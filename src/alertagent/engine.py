@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from itertools import count
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -25,8 +25,7 @@ from typing import IO, Any, Iterable, Iterator
 from .battery import BatteryGuard
 from .context import SENSOR_SIGNAL_KINDS, Context, ContextEngine
 from .errors import AlertLogError, ScenarioError
-from .forwarder import matching_devices
-from .kb import KnowledgeBase
+from .kb import KnowledgeBase, matching_devices
 from .model import (
     ALERT_FIELDS,
     FAILURE_REASONS,
@@ -92,8 +91,7 @@ class Scenario:
             self.count += 1
             yield Event(t, lineno, kind, data)
 
-    # For the bench only: bench/child.py takes len(scenario.events) after the run as
-    # its event count. Retired when the bench reads ``count`` (ROADMAP item 1).
+    # bench/child.py's event count, len(scenario.events), until it reads ``count``.
     events = property(lambda self: range(self.count))
 
 
@@ -106,10 +104,23 @@ def parse_scenario(source: str | Path | IO[str]) -> Scenario:
 # Alert log
 
 
-@dataclass
-class AlertLog:
-    entries: list[Alert] = field(default_factory=list)
-    diagnostics: list[str] = field(default_factory=list)
+class AlertLog(Sequence[Alert]):
+    """A run's alerts, held as their finished log lines, each ending in "\\n"; ``entries``
+    is the log itself. Reading one splits the line's head, '{"t":T,"seq":S,"kind":"K",'
+    (no comma inside T, S or K), off its fields."""
+
+    def __init__(self, entries: Iterable[Alert] = (), diagnostics: list[str] | None = None):
+        self.lines = [f"{_head(a.t, a.seq, a.kind)}{a.fields}}}\n" for a in entries]
+        self.diagnostics = [] if diagnostics is None else diagnostics
+
+    entries = property(lambda self: self)
+
+    def __len__(self) -> int:
+        return len(self.lines)
+
+    def __getitem__(self, index: int) -> Alert:
+        t, seq, kind, fields = self.lines[index].split(",", 3)
+        return Alert(int(t[5:]), int(seq[6:]), kind[8:-1], fields[:-2])
 
 
 # A non-finite number raises ValueError rather than being written as NaN or
@@ -131,14 +142,14 @@ def _fields(payload: dict[str, Any]) -> str:
     return ("".join(_C_ENCODER(record, 0)) if _C_ENCODER else _ENCODER.encode(record))[1:-1]
 
 
-def _line(alert: Alert) -> str:
-    """An alert's log line, without its "\\n": t, seq and kind, then its fields."""
-    return f'{{"t":{alert.t},"seq":{alert.seq},"kind":"{alert.kind}",{alert.fields}}}'
+def _head(t: int, seq: int, kind: str) -> str:
+    """What opens an alert's log line: t, seq and kind. Its fields and "}\\n" follow."""
+    return f'{{"t":{t},"seq":{seq},"kind":"{kind}",'
 
 
 def write_alert_log(log: AlertLog, sink: str | Path | IO[str]) -> None:
-    """Write the log one line per alert, each straight to the sink."""
-    write_text(sink, (f"{_line(alert)}\n" for alert in log.entries))
+    """Write the log's lines, as they are, to the sink."""
+    write_text(sink, log.lines)
 
 
 def read_alert_log(source: str | Path | IO[str]) -> list[Alert]:
@@ -187,32 +198,32 @@ class Engine:
         self.tally = MissedItemTally()
 
         self.clock = 0
-        self.entries: list[Alert] = []
-        self.diagnostics: list[str] = []
+        self.entries = AlertLog()
+        self._lines = self.entries.lines
         self._deadlines: list[tuple[int, int, int, Any]] = []
         self._created = count()
-        # seq -> user-facing alert neither attended nor forwarded yet
-        self._pending: dict[int, Alert] = {}
+        # seq -> kind of each user-facing alert neither attended nor forwarded yet
+        self._pending: dict[int, str] = {}
         self._handlers = {kind: getattr(self, f"_on_{kind}") for kind in _EVENT_FIELDS}
 
     # -- plumbing -----------------------------------------------------------
 
     def _note(self, message: str) -> None:
-        self.diagnostics.append(f"t={self.clock}: {message}")
+        self.entries.diagnostics.append(f"t={self.clock}: {message}")
 
     def _emit(self, kind: str, payload: dict[str, Any]) -> None:
         self._emit_fields(kind, _fields(payload))
 
     def _emit_fields(self, kind: str, fields: str) -> None:
-        alert = Alert(self.clock, len(self.entries) + 1, kind, fields)
-        self.entries.append(alert)
+        seq = len(self._lines) + 1
+        self._lines.append(f"{_head(self.clock, seq, kind)}{fields}}}\n")
         if kind in USER_FACING_ALERT_KINDS:
-            self._pending[alert.seq] = alert
-            self._push(alert.t + self.config.attend_window_ms, _FORWARD, alert.seq)
+            self._pending[seq] = kind
+            self._push(self.clock + self.config.attend_window_ms, _FORWARD, seq)
 
     def _emit_snapshot(self) -> None:
-        fields = self.tally.snapshot(self.clock, self.config.sorter_t_floor_min)
-        self._emit_fields("sorted_list_snapshot", fields)
+        head = _head(self.clock, len(self._lines) + 1, "sorted_list_snapshot")
+        self._lines.append(self.tally.snapshot(self.clock, self.config.sorter_t_floor_min, head))
 
     def _emit_tracker(self, kind: str, task: TrackerTask) -> None:
         self._emit(kind, {"prompt_id": task.prompt_id, "callee": task.callee_id,
@@ -241,8 +252,8 @@ class Engine:
                 task = self.tracker.expire(key)
                 if task is not None:
                     self._emit_tracker("tracker_expired", task)
-            elif (alert := self._pending.pop(key, None)) is not None:
-                self._forward(alert)
+            elif (kind := self._pending.pop(key, None)) is not None:
+                self._forward(key, kind)
 
     def _fire_crossing(self, events: list[Event], index: int) -> None:
         t = self.clock
@@ -259,10 +270,10 @@ class Engine:
             "radiation_incall_warning", {"caller": self.monitor.caller_id, "exposure_ms": exposure}
         )
 
-    def _forward(self, alert: Alert) -> None:
-        devices = matching_devices(self.kb.devices, self.ctx.current, alert.kind)
+    def _forward(self, seq: int, kind: str) -> None:
+        devices = matching_devices(self.kb.devices, self.ctx.current, kind)
         if devices:
-            line = _line(alert)
+            line = self._lines[seq - 1][:-1]
             for device in devices:
                 device_id = encode_basestring_ascii(device.device_id)
                 self._emit_fields("forward_to_device", f'"alert":{line},"device_id":{device_id}')
@@ -370,7 +381,7 @@ class Engine:
 
     def _on_notification_attended(self, ev: Event) -> None:
         alert_id = ev.data["alert_id"]
-        if alert_id > len(self.entries):
+        if alert_id > len(self._lines):
             self._note(f"notification_attended for unknown alert id {alert_id}")
             return
         alert = self.entries[alert_id - 1]
@@ -412,5 +423,5 @@ class Engine:
                 f"call from {caller!r} still active at end of scenario; exposure tracking stopped"
             )
         self._fire_deadlines(math.inf, [], 0)
-        return AlertLog(entries=self.entries, diagnostics=self.diagnostics)
+        return self.entries
 

@@ -1,4 +1,4 @@
-"""Durable agent state: contacts, call-safety statistics, devices, signal registry.
+"""Durable agent state: contacts, call-safety statistics, signal registry, devices to forward to.
 
 The on-disk format is a single JSON document with four required sections:
 
@@ -23,7 +23,6 @@ from typing import IO, Any, Iterator
 
 from .context import Context
 from .errors import KnowledgeBaseError
-from .forwarder import DeviceRegistration
 from .model import (
     ALERT_KINDS,
     MAX_T,
@@ -95,6 +94,24 @@ class SafetyRecord:
                 f"safety_records[{caller_id!r}]: unsafe ({self.unsafe_calls}) "
                 f"exceeds total ({self.total_calls})"
             )
+
+
+@dataclass(frozen=True)
+class DeviceRegistration:
+    """A device that accepts certain alert kinds while in certain contexts."""
+
+    device_id: str
+    contexts: frozenset[Context]
+    kinds: frozenset[str]
+
+
+def matching_devices(devices: list[DeviceRegistration], current: Context,
+                     alert_kind: str) -> list[DeviceRegistration]:
+    """Devices registered for (current context, alert kind), in registry order;
+    none while the context is Unknown, where forwarding is inert."""
+    if current is Context.UNKNOWN:
+        return []
+    return [d for d in devices if current in d.contexts and alert_kind in d.kinds]
 
 
 @dataclass

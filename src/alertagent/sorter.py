@@ -35,9 +35,11 @@ class MissedItemTally:
         """Drop the caller's record of that kind. True if one existed."""
         return self._items.pop((caller_id, kind), None) is not None
 
-    def snapshot(self, now_ms: int, t_floor_min: float) -> str:
+    def snapshot(self, now_ms: int, t_floor_min: float, head: str = "") -> str:
         """Rank the records as a snapshot alert's fields, highest score first: the
         compact JSON text ``"entries":[...]`` of the array of {caller, kind, score}.
+        Given the ``head`` that opens the alert's log line, the whole line, with
+        its closing "}\\n".
 
         Ties break by higher group weight, then more recent latest item, then
         caller id ascending, then item kind (call before message); no two records
@@ -53,10 +55,10 @@ class MissedItemTally:
         ranked.sort()
         if ranked and not math.isfinite(ranked[0][0]):
             raise ValueError(f"snapshot score {-ranked[0][0]!r} is not a finite number")
-        # One join and no copy after it: a snapshot's text runs to tens of kB, and
-        # concatenating onto it left the heap about 1 MB higher on callback_snapshots.
-        parts = ['"entries":[']
+        # One join, the line's head and end included, and no copy after it: a snapshot
+        # runs to tens of kB, and concatenating onto it raised callback_snapshots' heap.
+        parts = [head, '"entries":[']
         for index, (neg_score, _w, _l, _key, prefix) in enumerate(ranked):
             parts.append(f"{',' if index else ''}{prefix}{-neg_score!r}}}")
-        parts.append("]")
+        parts.append("]}\n" if head else "]")
         return "".join(parts)

@@ -75,7 +75,9 @@ def replay(scenario: Scenario | str | Iterable[dict], kb: dict | KnowledgeBase |
     """Run a scenario, parsed (the run consumes it), as JSON-lines text or as its
     lines, through the calls ``alertagent run`` makes; ``kb`` is a KB document or
     a loaded knowledge base (empty by default), and ``config`` defaults to
-    ``AgentConfig()``."""
+    ``AgentConfig()``. The log is the engine's own lines as ``write_alert_log``
+    writes them, checked against the same alerts decoded one by one and laid out
+    again."""
     if not isinstance(scenario, Scenario):
         text = scenario if isinstance(scenario, str) else _scenario_text(scenario)
         scenario = parse_scenario(io.StringIO(text))
@@ -83,7 +85,10 @@ def replay(scenario: Scenario | str | Iterable[dict], kb: dict | KnowledgeBase |
         kb = load_kb_doc(kb or kb_doc())
     engine = Engine(config or AgentConfig(), kb)
     log = engine.run(scenario)
-    return Replay(log_text(log.entries), kb_text(engine.kb), log.diagnostics)
+    sink = io.StringIO()
+    write_alert_log(log, sink)
+    assert_same_text(log_text(list(log)), sink.getvalue())
+    return Replay(sink.getvalue(), kb_text(engine.kb), log.diagnostics)
 
 
 def records(log: str) -> list[dict[str, Any]]:

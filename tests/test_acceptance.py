@@ -14,8 +14,7 @@ import random
 import time
 from contextlib import contextmanager
 
-from alertagent.forwarder import matching_devices
-from alertagent.kb import KnowledgeBase, SafetyRecord, load_kb
+from alertagent.kb import KnowledgeBase, SafetyRecord, load_kb, matching_devices
 from alertagent.model import AgentConfig, Contact, Group
 from alertagent.sleep import alert_ordinal
 from alertagent.tracker import CallerTracker
@@ -418,7 +417,7 @@ def test_criterion_8_determinism_of_mixed_runs():
 
 def _random_kb(rng: random.Random) -> KnowledgeBase:
     from alertagent.context import Context
-    from alertagent.forwarder import DeviceRegistration
+    from alertagent.kb import DeviceRegistration
     from alertagent.model import ALERT_KINDS
 
     contacts = {}

@@ -113,8 +113,8 @@ def test_run_checks_the_kb_before_it_reads_the_scenario(workspace, capsys):
     assert str(missing) in err and "bad.jsonl" not in err
 
 
-def _peak_traced_bytes(tmp_path, events: int) -> int:
-    """tracemalloc's peak over ``alertagent run`` of a scenario that raises no alert."""
+def _quiet_scenario(tmp_path, events: int):
+    """A scenario that raises no alert."""
     scenario = tmp_path / f"quiet-{events}.jsonl"
     with open(scenario, "w", encoding="utf-8") as out:
         for t in range(events):
@@ -123,9 +123,26 @@ def _peak_traced_bytes(tmp_path, events: int) -> int:
             else:
                 out.write(f'{{"t": {t}, "type": "sensor", "signal_kind": "proximity", '
                           f'"signal_value": "near"}}\n')
+    return scenario
+
+
+def _beep_scenario(tmp_path, alerts: int):
+    """A scenario of messages from one caller, each raising one beep: a user-facing
+    alert whose forward (to no device) comes due before the next message."""
+    scenario = tmp_path / f"beeps-{alerts}.jsonl"
+    with open(scenario, "w", encoding="utf-8") as out:
+        for n in range(alerts):
+            out.write(f'{{"t": {n * 60_001}, "type": "message_received", "caller": "c1"}}\n')
+    return scenario
+
+
+def _peak_traced_bytes(tmp_path, scenario) -> int:
+    """tracemalloc's peak over ``alertagent run`` of ``scenario`` with an empty KB;
+    the log goes to ``scenario`` with the suffix ``.log``."""
     kb = tmp_path / "kb.json"
     kb.write_text(json.dumps(kb_doc()), encoding="utf-8")
-    argv = ["run", "--scenario", str(scenario), "--kb", str(kb), "--out", str(tmp_path / "o")]
+    out = scenario.with_suffix(".log")
+    argv = ["run", "--scenario", str(scenario), "--kb", str(kb), "--out", str(out)]
     tracemalloc.start()
     try:
         code = main(argv)
@@ -137,10 +154,23 @@ def _peak_traced_bytes(tmp_path, events: int) -> int:
 
 
 def test_run_memory_does_not_grow_with_the_event_count(tmp_path, capsys):
-    small = _peak_traced_bytes(tmp_path, 5_000)
-    large = _peak_traced_bytes(tmp_path, 20_000)
+    small = _peak_traced_bytes(tmp_path, _quiet_scenario(tmp_path, 5_000))
+    large = _peak_traced_bytes(tmp_path, _quiet_scenario(tmp_path, 20_000))
     assert capsys.readouterr().out.count("alerts=0 ") == 2
     assert large - small <= 256 * 1024, (small, large)
+
+
+def test_run_memory_grows_by_little_more_than_each_alerts_line(tmp_path, capsys):
+    """The run holds its log as the lines it writes: each added alert keeps its line's
+    bytes and at most 96 B more (the string's header and the list's slot)."""
+    small, large = _beep_scenario(tmp_path, 5_000), _beep_scenario(tmp_path, 20_000)
+    small_peak = _peak_traced_bytes(tmp_path, small)
+    peak_growth = _peak_traced_bytes(tmp_path, large) - small_peak
+    out = capsys.readouterr().out
+    assert "alerts=5000 " in out and "alerts=20000 " in out
+    log_growth = large.with_suffix(".log").stat().st_size - small.with_suffix(".log").stat().st_size
+    added = 15_000
+    assert peak_growth / added <= log_growth / added + 96, (peak_growth / added, log_growth / added)
 
 
 def test_run_missing_input_file_is_code_1(workspace, capsys):

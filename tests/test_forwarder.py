@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 from alertagent.context import Context
-from alertagent.forwarder import DeviceRegistration, matching_devices
+from alertagent.kb import DeviceRegistration, matching_devices
 from alertagent.model import AgentConfig
 
 from helpers import kb_doc, records, replay

@@ -9,8 +9,9 @@ import pytest
 
 from alertagent.context import Context
 from alertagent.errors import KnowledgeBaseError
-from alertagent.forwarder import DeviceRegistration
-from alertagent.kb import KnowledgeBase, SafetyRecord, kb_from_dict, load_kb, save_kb
+from alertagent.kb import (
+    DeviceRegistration, KnowledgeBase, SafetyRecord, kb_from_dict, load_kb, save_kb,
+)
 from alertagent.model import ALERT_KINDS, Contact, Group
 
 from helpers import assert_same_text, contact_doc, kb_doc, kb_text, load_bench_gen, load_kb_doc
