@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
 from pathlib import Path
 from typing import IO, Any
 
@@ -11,21 +12,11 @@ from .model import (
     read_json,
 )
 
-_INT = need_int(required=False)
 _NUMBER = need_type(float, required=False)  # read as a float, even when written as 1
-
-# Types only: AgentConfig holds the defaults and AgentConfig.validate the ranges.
-_CONFIG = {
-    "battery_critical_pct": _INT,
-    "battery_rearm_pct": _INT,
-    "safe_call_limit_ms": _INT,
-    "precall_prob_threshold": _NUMBER,
-    "precall_min_calls": _INT,
-    "attend_window_ms": _INT,
-    "tracker_timeout_ms": _INT,
-    "sorter_t_floor_min": _NUMBER,
-    "battery_actions": need_type(list, required=False),
-}
+# Each field, optional, checked by its default's type; a field of another type fails
+# at import. AgentConfig holds the defaults and AgentConfig.validate the ranges.
+_BY_TYPE = {int: need_int(required=False), float: _NUMBER, tuple: need_type(list, required=False)}
+_CONFIG = {field.name: _BY_TYPE[type(field.default)] for field in fields(AgentConfig)}
 _ACTIONS = {a.value: a for a in BatteryAction}
 _ACTION = {"kind": need_str(_ACTIONS), "destination": need_type(str, required=False)}
 

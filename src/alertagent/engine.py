@@ -5,7 +5,9 @@ Events are processed in (t, seq) order. Internal deadlines (exposure-warning
 points, tracker timeouts, attendance deadlines) interleave at their exact
 virtual times and fire before external events carrying the same timestamp;
 among themselves they order by subsystem (radiation, tracker, forwarder),
-then by creation order. For each external event the subsystems react in a
+then by creation order. An exposure crossing whose instant holds a call_end
+or safety_mode_enter raises no warning, and that is all a deadline reads of
+the events to come. For each external event the subsystems react in a
 fixed order: context, battery, audible gating, radiation, tracker, sorter,
 forwarder. The alert log serializes with canonical field ordering and no
 whitespace variance, so identical runs produce identical bytes.
@@ -239,15 +241,15 @@ class Engine:
         if self.monitor.next_warning_ms is not None:
             self._push(self.monitor.next_warning_ms, _CROSSING)
 
-    def _fire_deadlines(self, before: float, events: list[Event], index: int) -> None:
-        """Fire every live deadline earlier than ``before``; events[index:] are still to come."""
+    def _fire_deadlines(self, before: float) -> None:
+        """Fire every live deadline earlier than ``before``."""
         deadlines = self._deadlines
         while deadlines and deadlines[0][0] < before:
             t, subsystem, _, key = heapq.heappop(deadlines)
             self.clock = t
             if subsystem == _CROSSING:
                 if self.monitor.next_warning_ms == t:
-                    self._fire_crossing(events, index)
+                    self._fire_crossing()
             elif subsystem == _TIMEOUT:
                 task = self.tracker.expire(key)
                 if task is not None:
@@ -255,20 +257,13 @@ class Engine:
             elif (kind := self._pending.pop(key, None)) is not None:
                 self._forward(key, kind)
 
-    def _fire_crossing(self, events: list[Event], index: int) -> None:
-        t = self.clock
+    def _fire_crossing(self) -> None:
         exposure = self.monitor.note_warning()
         self._push_crossing()
-        # The exposure stretch must continue strictly past this instant: an
-        # epoch-ending event at the same t means the limit was only reached,
-        # never exceeded, so the crossing is consumed without a warning.
-        while index < len(events) and events[index].t == t:
-            if events[index].kind in _EPOCH_TERMINATORS:
-                return
-            index += 1
-        self._emit(
-            "radiation_incall_warning", {"caller": self.monitor.caller_id, "exposure_ms": exposure}
-        )
+        # The limit is passed only if the exposure stretch outlasts this instant.
+        if self.clock not in self._ending:
+            self._emit("radiation_incall_warning",
+                       {"caller": self.monitor.caller_id, "exposure_ms": exposure})
 
     def _forward(self, seq: int, kind: str) -> None:
         devices = matching_devices(self.kb.devices, self.ctx.current, kind)
@@ -401,8 +396,12 @@ class Engine:
     # -- main loop ------------------------------------------------------------
 
     def _run_batch(self, events: list[Event]) -> None:
-        for index, ev in enumerate(events):
-            self._fire_deadlines(ev.t + 1, events, index)
+        # A crossing fires before the first event at or after its instant (it is
+        # pushed a positive limit after the instant that pushes it), and batches
+        # hold whole instants, so this batch knows whether that instant ends exposure.
+        self._ending = {ev.t for ev in events if ev.kind in _EPOCH_TERMINATORS}
+        for ev in events:
+            self._fire_deadlines(ev.t + 1)
             self.clock = ev.t
             self._dispatch(ev)
 
@@ -422,6 +421,6 @@ class Engine:
             self._note(
                 f"call from {caller!r} still active at end of scenario; exposure tracking stopped"
             )
-        self._fire_deadlines(math.inf, [], 0)
+        self._fire_deadlines(math.inf)
         return self.entries
 

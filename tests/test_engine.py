@@ -230,8 +230,8 @@ def _events_alive() -> int:
 
 
 def test_a_run_keeps_no_dispatched_event():
-    # Calls that end exactly at the exposure limit, or at twice it, make the
-    # crossing look ahead past the event being dispatched.
+    # Calls that end exactly at the exposure limit, or at twice it, make a
+    # crossing decide by an event of its instant not yet dispatched.
     lines = []
     for i in range(250):
         t = 1_000_000 * i
@@ -683,8 +683,8 @@ def test_warning_skipped_when_safety_starts_exactly_on_the_limit():
 
 @pytest.mark.parametrize("earlier", [0, 1, 300, 1000])
 def test_warning_skipped_when_the_call_ends_late_in_a_crowded_instant(earlier):
-    # The crossing looks ahead through the whole of its instant, however many
-    # events come before it or share it: here 1000 messages precede the call_end.
+    # The crossing sees a call_end anywhere in its instant, however many events
+    # come before it or share it: here 1000 messages precede the call_end.
     lines = [{"t": 0, "type": "call_start", "caller": "c1"}]
     lines += [{"t": t, "type": "user_context", "context": "Home"} for t in range(1, earlier + 1)]
     lines += [{"t": 360_000, "type": "message_received", "caller": "c2"}] * 1000
@@ -693,15 +693,38 @@ def test_warning_skipped_when_the_call_ends_late_in_a_crowded_instant(earlier):
     assert "radiation_incall_warning" not in kinds and kinds.count("beep") == 1000
 
 
-def test_warning_fires_when_unrelated_event_shares_the_instant():
+# One valid event of every kind but the two that end an exposure stretch
+# (call_end and safety_mode_enter), with the alerts it raises in the test below.
+_NON_ENDING_EVENTS = [
+    ({"type": "call_start", "caller": "c2"}, ["ring"]),
+    ({"type": "call_failed", "callee": "c2", "reason": "unreachable"}, ["prompt"]),
+    ({"type": "message_received", "caller": "c2"}, ["beep"]),
+    ({"type": "battery_level", "pct": 50}, []),
+    ({"type": "sensor", "signal_kind": "wifi_network", "signal_value": "home-ap"}, []),
+    ({"type": "user_context", "context": "Home"}, []),
+    ({"type": "user_response", "prompt_id": "p1", "answer": "yes"}, []),
+    ({"type": "delivery_report", "tracking_msg_id": "m1", "positive": True}, []),
+    ({"type": "notification_attended", "alert_id": 1}, []),
+    ({"type": "sleep_mode", "on": True}, []),
+    ({"type": "safety_mode_exit"}, []),
+    ({"type": "snapshot_request"}, ["sorted_list_snapshot"]),
+]
+
+
+@pytest.mark.parametrize(
+    ("event", "raised"), _NON_ENDING_EVENTS, ids=[event["type"] for event, _ in _NON_ENDING_EVENTS]
+)
+def test_warning_fires_when_unrelated_event_shares_the_instant(event, raised):
+    # Only a call_end or a safety_mode_enter at the crossing's instant ends the
+    # stretch there; any other event, a no-op safety_mode_exit too, leaves it running.
     log = replay(
         [
             {"t": 0, "type": "call_start", "caller": "c1"},
-            {"t": 360_000, "type": "message_received", "caller": "c2"},
+            {"t": 360_000, **event},
             {"t": 400_000, "type": "call_end"},
         ]
     ).log
-    assert kinds_at(log, 360_000) == ["radiation_incall_warning", "beep"]
+    assert kinds_at(log, 360_000) == ["radiation_incall_warning", *raised]
 
 
 def test_a_dropped_crossing_never_fires():
