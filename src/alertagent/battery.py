@@ -36,12 +36,6 @@ class BatteryGuard:
         """
         if self.armed:
             return [], False
-        specs: list[BatteryActionSpec] = []
-        diverted = False
-        for spec in self._actions:
-            if spec.kind is BatteryAction.INFORM_CALLER:
-                specs.append(spec)
-            elif spec.kind is BatteryAction.DIVERT_GROUP_A and caller_group is Group.A:
-                specs.append(spec)
-                diverted = True
-        return specs, diverted
+        specs = [spec for spec in self._actions if spec.kind is BatteryAction.INFORM_CALLER
+                 or (spec.kind is BatteryAction.DIVERT_GROUP_A and caller_group is Group.A)]
+        return specs, any(spec.kind is BatteryAction.DIVERT_GROUP_A for spec in specs)

@@ -1,9 +1,5 @@
-"""Command-line entry point: run scenarios, validate inputs, summarize logs.
-
-Exit codes: 0 success, 1 invalid input (parse or validation failure),
-2 internal error (unexpected failures, unwritable outputs), 141 stdout closed
-before all output was written (as a process ended by SIGPIPE).
-"""
+"""Command-line entry point: run scenarios, validate inputs, summarize logs. README.md
+explains each exit code: 0, 1 invalid input, 2 internal error, 141 stdout closed early."""
 
 from __future__ import annotations
 

@@ -1,25 +1,16 @@
-"""Deterministic scenario replay: parsing, dispatch, timers, canonical log.
-
-One run is a pure function of (scenario, config, initial knowledge base).
-Events are processed in (t, seq) order. Internal deadlines (exposure-warning
-points, tracker timeouts, attendance deadlines) interleave at their exact
-virtual times and fire before external events carrying the same timestamp;
-among themselves they order by subsystem (radiation, tracker, forwarder),
-then by creation order. An exposure crossing whose instant holds a call_end
-or safety_mode_enter raises no warning, and that is all a deadline reads of
-the events to come. For each external event the subsystems react in a
-fixed order: context, battery, audible gating, radiation, tracker, sorter,
-forwarder. The alert log serializes with canonical field ordering and no
-whitespace variance, so identical runs produce identical bytes.
-"""
+"""Deterministic scenario replay: parsing, dispatch, timers, canonical log. One run
+is a pure function of (scenario, config, initial knowledge base); README.md's
+determinism contract states the order in which events and deadlines take effect."""
 
 from __future__ import annotations
 
 import heapq
 import json
 import math
+from array import array
+from bisect import bisect_right
 from collections.abc import Sequence
-from itertools import count
+from itertools import accumulate, count
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import IO, Any, Iterable, Iterator
@@ -97,31 +88,62 @@ class Scenario:
     events = property(lambda self: range(self.count))
 
 
-def parse_scenario(source: str | Path | IO[str]) -> Scenario:
-    """The scenario in ``source``; nothing is read until it is iterated."""
-    return Scenario(source)
+parse_scenario = Scenario  # the scenario in a source; nothing is read until it is iterated
 
 
 # ---------------------------------------------------------------------------
 # Alert log
 
+_BLOCK = 4096  # characters of short log lines packed into one text block
+
 
 class AlertLog(Sequence[Alert]):
-    """A run's alerts, held as their finished log lines, each ending in "\\n"; ``entries``
-    is the log itself. Reading one splits the line's head, '{"t":T,"seq":S,"kind":"K",'
-    (no comma inside T, S or K), off its fields."""
+    """A run's alerts as their finished log lines, each ending in "\\n": ``write`` appends
+    a line as it is, and ``pack`` joins the lines written since into text blocks, so
+    ``lines`` holds the blocks, then the lines not yet packed. Reading an alert slices
+    its line out and splits the head, '{"t":T,"seq":S,"kind":"K",' (no comma inside T,
+    S or K), off its fields. ``entries`` is the log itself."""
 
     def __init__(self, entries: Iterable[Alert] = (), diagnostics: list[str] | None = None):
-        self.lines = [f"{_head(a.t, a.seq, a.kind)}{a.fields}}}\n" for a in entries]
+        self.lines: list[str] = []
+        self.write = self.lines.append  # one C call per alert; ``lines`` is never rebound
+        # Offsets in the log's text: where each packed line ends, after a leading 0,
+        # and where each block starts.
+        self._ends, self._spans = array("q", [0]), array("q")
         self.diagnostics = [] if diagnostics is None else diagnostics
+        for a in entries:
+            self.write(f"{_head(a.t, a.seq, a.kind)}{a.fields}}}\n")
 
     entries = property(lambda self: self)
 
+    def pack(self) -> None:
+        """Join the lines written since the last pack into blocks of at most _BLOCK
+        characters; a longer line becomes a block of its own, and is not copied."""
+        lines, ends, spans = self.lines, self._ends, self._spans
+        tail, first = lines[len(spans):], len(ends) - 1
+        del lines[len(spans):]
+        ends.extend(accumulate(map(len, tail), initial=ends.pop()))  # the last end, again
+        start = first
+        while start < len(ends) - 1:
+            cut = max(start + 1, bisect_right(ends, ends[start] + _BLOCK, start) - 1)
+            spans.append(ends[start])
+            lines.append("".join(tail[start - first:cut - first]))
+            start = cut
+
     def __len__(self) -> int:
-        return len(self.lines)
+        return len(self._ends) - 1 + len(self.lines) - len(self._spans)
 
     def __getitem__(self, index: int) -> Alert:
-        t, seq, kind, fields = self.lines[index].split(",", 3)
+        packed = len(self._ends) - 1
+        index = range(len(self))[index]  # as a list's index: from the end if negative
+        if index >= packed:  # an entry of its own, after the blocks
+            line = self.lines[len(self._spans) + index - packed]
+        else:
+            start, end = self._ends[index], self._ends[index + 1]
+            entry = bisect_right(self._spans, start) - 1
+            offset = self._spans[entry]
+            line = self.lines[entry][start - offset:end - offset]
+        t, seq, kind, fields = line.split(",", 3)
         return Alert(int(t[5:]), int(seq[6:]), kind[8:-1], fields[:-2])
 
 
@@ -179,12 +201,10 @@ _BATCH = 256
 class Engine:
     """One scenario run. Owns copies of the knowledge base and all state.
 
-    Every internal deadline waits in one heap of (t, subsystem, creation
-    number, key), so same-instant deadlines fire by subsystem and then in
-    creation order. A subsystem may drop a deadline before it comes up (the
-    call ends, the delivery report arrives, the alert is attended); the
-    entry is then skipped when it does.
-    """
+    Every internal deadline waits in one heap of (t, subsystem, creation number, key),
+    so same-instant deadlines fire by subsystem, then in creation order. An entry whose
+    subsystem has dropped it since (call ended, report arrived, alert attended) is
+    skipped when it comes up."""
 
     def __init__(self, config: AgentConfig, kb: KnowledgeBase):
         config.validate()
@@ -201,11 +221,11 @@ class Engine:
 
         self.clock = 0
         self.entries = AlertLog()
-        self._lines = self.entries.lines
+        self._alerts = 0  # the log's length, kept here: len() of it is a Python call
         self._deadlines: list[tuple[int, int, int, Any]] = []
         self._created = count()
-        # seq -> kind of each user-facing alert neither attended nor forwarded yet
-        self._pending: dict[int, str] = {}
+        # seq -> (kind, line) of each user-facing alert neither attended nor forwarded yet
+        self._pending: dict[int, tuple[str, str]] = {}
         self._handlers = {kind: getattr(self, f"_on_{kind}") for kind in _EVENT_FIELDS}
 
     # -- plumbing -----------------------------------------------------------
@@ -217,15 +237,17 @@ class Engine:
         self._emit_fields(kind, _fields(payload))
 
     def _emit_fields(self, kind: str, fields: str) -> None:
-        seq = len(self._lines) + 1
-        self._lines.append(f"{_head(self.clock, seq, kind)}{fields}}}\n")
+        seq = self._alerts = self._alerts + 1
+        line = f"{_head(self.clock, seq, kind)}{fields}}}\n"
+        self.entries.write(line)
         if kind in USER_FACING_ALERT_KINDS:
-            self._pending[seq] = kind
+            self._pending[seq] = (kind, line)
             self._push(self.clock + self.config.attend_window_ms, _FORWARD, seq)
 
     def _emit_snapshot(self) -> None:
-        head = _head(self.clock, len(self._lines) + 1, "sorted_list_snapshot")
-        self._lines.append(self.tally.snapshot(self.clock, self.config.sorter_t_floor_min, head))
+        self._alerts += 1
+        head = _head(self.clock, self._alerts, "sorted_list_snapshot")
+        self.entries.write(self.tally.snapshot(self.clock, self.config.sorter_t_floor_min, head))
 
     def _emit_tracker(self, kind: str, task: TrackerTask) -> None:
         self._emit(kind, {"prompt_id": task.prompt_id, "callee": task.callee_id,
@@ -254,8 +276,8 @@ class Engine:
                 task = self.tracker.expire(key)
                 if task is not None:
                     self._emit_tracker("tracker_expired", task)
-            elif (kind := self._pending.pop(key, None)) is not None:
-                self._forward(key, kind)
+            elif (pending := self._pending.pop(key, None)) is not None:
+                self._forward(*pending)
 
     def _fire_crossing(self) -> None:
         exposure = self.monitor.note_warning()
@@ -265,13 +287,10 @@ class Engine:
             self._emit("radiation_incall_warning",
                        {"caller": self.monitor.caller_id, "exposure_ms": exposure})
 
-    def _forward(self, seq: int, kind: str) -> None:
-        devices = matching_devices(self.kb.devices, self.ctx.current, kind)
-        if devices:
-            line = self._lines[seq - 1][:-1]
-            for device in devices:
-                device_id = encode_basestring_ascii(device.device_id)
-                self._emit_fields("forward_to_device", f'"alert":{line},"device_id":{device_id}')
+    def _forward(self, kind: str, line: str) -> None:
+        for device in matching_devices(self.kb.devices, self.ctx.current, kind):
+            device_id = encode_basestring_ascii(device.device_id)
+            self._emit_fields("forward_to_device", f'"alert":{line[:-1]},"device_id":{device_id}')
 
     # -- per-event handlers, each calling its stages in the documented order --
 
@@ -322,8 +341,7 @@ class Engine:
     def _on_safety_mode(self, ev: Event) -> None:
         if self.monitor.caller_id is None:
             self._note(f"{ev.kind} with no active call")
-        else:
-            self.monitor.on_safety(ev.t, entering=ev.kind == "safety_mode_enter")
+        elif self.monitor.on_safety(ev.t, entering=ev.kind == "safety_mode_enter"):
             self._push_crossing()
 
     _on_safety_mode_enter = _on_safety_mode_exit = _on_safety_mode
@@ -376,13 +394,12 @@ class Engine:
 
     def _on_notification_attended(self, ev: Event) -> None:
         alert_id = ev.data["alert_id"]
-        if alert_id > len(self._lines):
+        if alert_id > self._alerts:
             self._note(f"notification_attended for unknown alert id {alert_id}")
             return
         alert = self.entries[alert_id - 1]
         # sorter stage: attending the item's alert acknowledges the item
-        item_kind = MISSED_ITEM_KIND.get(alert.kind)
-        if item_kind is not None:
+        if (item_kind := MISSED_ITEM_KIND.get(alert.kind)) is not None:
             self.tally.acknowledge(json.loads(f"{{{alert.fields}}}")["caller"], item_kind)
         # forwarder stage: an alert attended in time never forwards
         self._pending.pop(alert_id, None)
@@ -404,6 +421,7 @@ class Engine:
             self._fire_deadlines(ev.t + 1)
             self.clock = ev.t
             self._dispatch(ev)
+        self.entries.pack()
 
     def run(self, scenario: Iterable[Event]) -> AlertLog:
         """Replay the scenario as it is read, in batches of whole instants."""
@@ -422,5 +440,6 @@ class Engine:
                 f"call from {caller!r} still active at end of scenario; exposure tracking stopped"
             )
         self._fire_deadlines(math.inf)
+        self.entries.pack()
         return self.entries
 

@@ -1,18 +1,6 @@
 """Durable agent state: contacts, call-safety statistics, signal registry, devices to forward to.
-
-The on-disk format is a single JSON document with four required sections:
-
-    {
-      "contacts":        [{"id", "name", "group", "temp_important"}, ...],
-      "context_signals": {"<signal_kind>:<signal_value>": "<context name>", ...},
-      "devices":         [{"device_id", "contexts": [...], "kinds": [...]}, ...],
-      "safety_records":  {"<caller id>": {"total": int, "unsafe": int}, ...}
-    }
-
-Saving is canonical: map keys sorted, contacts sorted by id, device
-context/kind sets sorted, two-space indent. Identical knowledge bases always
-serialize to identical bytes, and load(save(kb)) reproduces an equal value.
-"""
+README.md's "Knowledge base" section gives the document's four sections and its canonical
+layout, so that identical knowledge bases save to identical bytes."""
 
 from __future__ import annotations
 

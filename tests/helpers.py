@@ -77,7 +77,7 @@ def replay(scenario: Scenario | str | Iterable[dict], kb: dict | KnowledgeBase |
     a loaded knowledge base (empty by default), and ``config`` defaults to
     ``AgentConfig()``. The log is the engine's own lines as ``write_alert_log``
     writes them, checked against the same alerts decoded one by one and laid out
-    again."""
+    again, and the log's decoding view is checked to index as a list of them does."""
     if not isinstance(scenario, Scenario):
         text = scenario if isinstance(scenario, str) else _scenario_text(scenario)
         scenario = parse_scenario(io.StringIO(text))
@@ -87,8 +87,21 @@ def replay(scenario: Scenario | str | Iterable[dict], kb: dict | KnowledgeBase |
     log = engine.run(scenario)
     sink = io.StringIO()
     write_alert_log(log, sink)
-    assert_same_text(log_text(list(log)), sink.getvalue())
+    alerts = list(log)
+    assert_same_text(log_text(alerts), sink.getvalue())
+    _check_index(log, alerts)
     return Replay(sink.getvalue(), kb_text(engine.kb), log.diagnostics)
+
+
+def _check_index(log: AlertLog, alerts: list[Alert]) -> None:
+    """The log's decoding view reads as the list of its alerts does: walked in reverse
+    (as the benchmark's generator names attended alerts), from the end, and past it."""
+    assert list(reversed(log)) == alerts[::-1]
+    if alerts:
+        assert log[-1] == log[len(log) - 1] == alerts[-1] and log[-len(log)] == alerts[0]
+    for past in (len(log), -len(log) - 1):
+        with pytest.raises(IndexError):
+            log[past]
 
 
 def records(log: str) -> list[dict[str, Any]]:

@@ -126,6 +126,18 @@ def _quiet_scenario(tmp_path, events: int):
     return scenario
 
 
+def _safety_exit_scenario(tmp_path, exits: int):
+    """One call, then ``exits`` safety_mode_exit events 1 ms apart while it is exposed,
+    each of which changes nothing, and the call's end before its first crossing."""
+    scenario = tmp_path / f"exits-{exits}.jsonl"
+    with open(scenario, "w", encoding="utf-8") as out:
+        out.write('{"t": 0, "type": "call_start", "caller": "c1"}\n')
+        for t in range(1, exits + 1):
+            out.write(f'{{"t": {t}, "type": "safety_mode_exit"}}\n')
+        out.write(f'{{"t": {exits + 1}, "type": "call_end"}}\n')
+    return scenario
+
+
 def _beep_scenario(tmp_path, alerts: int):
     """A scenario of messages from one caller, each raising one beep: a user-facing
     alert whose forward (to no device) comes due before the next message."""
@@ -160,9 +172,18 @@ def test_run_memory_does_not_grow_with_the_event_count(tmp_path, capsys):
     assert large - small <= 256 * 1024, (small, large)
 
 
+def test_run_memory_does_not_grow_with_no_op_safety_events(tmp_path, capsys):
+    """A safety-mode event that leaves the exposure as it was queues no deadline."""
+    small = _peak_traced_bytes(tmp_path, _safety_exit_scenario(tmp_path, 5_000))
+    large = _peak_traced_bytes(tmp_path, _safety_exit_scenario(tmp_path, 20_000))
+    assert capsys.readouterr().out.count("alerts=1 diagnostics=0") == 2
+    assert large - small <= 256 * 1024, (small, large)
+
+
 def test_run_memory_grows_by_little_more_than_each_alerts_line(tmp_path, capsys):
-    """The run holds its log as the lines it writes: each added alert keeps its line's
-    bytes and at most 96 B more (the string's header and the list's slot)."""
+    """The run holds its log as the lines it writes, packed into text blocks: each
+    added alert keeps its line's bytes and at most 16 B more (its end offset, and its
+    share of its block's header, list slot and start offset)."""
     small, large = _beep_scenario(tmp_path, 5_000), _beep_scenario(tmp_path, 20_000)
     small_peak = _peak_traced_bytes(tmp_path, small)
     peak_growth = _peak_traced_bytes(tmp_path, large) - small_peak
@@ -170,7 +191,7 @@ def test_run_memory_grows_by_little_more_than_each_alerts_line(tmp_path, capsys)
     assert "alerts=5000 " in out and "alerts=20000 " in out
     log_growth = large.with_suffix(".log").stat().st_size - small.with_suffix(".log").stat().st_size
     added = 15_000
-    assert peak_growth / added <= log_growth / added + 96, (peak_growth / added, log_growth / added)
+    assert peak_growth / added <= log_growth / added + 16, (peak_growth / added, log_growth / added)
 
 
 def test_run_missing_input_file_is_code_1(workspace, capsys):

@@ -12,7 +12,7 @@ import pytest
 
 from alertagent.cli import main
 from alertagent.config import load_config
-from alertagent.engine import parse_scenario, read_alert_log
+from alertagent.engine import _BLOCK, parse_scenario, read_alert_log
 from alertagent.errors import AlertLogError, ScenarioError
 from alertagent.kb import SafetyRecord, load_kb
 from alertagent.model import (
@@ -839,6 +839,35 @@ def test_rewriting_a_read_log_sorts_top_level_keys_and_keeps_nested_ones():
         '{"t":60001,"seq":4,"kind":"sorted_list_snapshot",'
         '"entries":[{"score":3,"kind":"call","caller":"c3"}]}\n'
     )
+
+
+def test_a_snapshot_longer_than_a_log_block_between_short_lines():
+    # The run packs the beeps of 300 callers into text blocks at the end of each batch
+    # of events; its snapshot, longer than a block, stands between two beeps. The
+    # attendance, in the second batch, names a beep packed into the first block and
+    # acknowledges that caller's message.
+    callers = [f"caller{n:03}" for n in range(300)]
+    lines = [{"t": 0, "type": "user_context", "context": "Home"}]
+    lines += [{"t": 1000 + n, "type": "message_received", "caller": caller}
+              for n, caller in enumerate(callers)]
+    lines += [
+        {"t": 2000, "type": "snapshot_request"},
+        {"t": 2001, "type": "message_received", "caller": "late"},
+        {"t": 2002, "type": "notification_attended", "alert_id": 2},
+        {"t": 2003, "type": "snapshot_request"},
+    ]
+    log = replay(lines, FORWARD_KB).log
+    written = log.splitlines(keepends=True)
+    first = written.index(next(line for line in written if "sorted_list_snapshot" in line))
+    assert len(written[first]) > _BLOCK
+    assert [r["kind"] for r in records("".join(written[first - 1:first + 2]))] == [
+        "beep", "sorted_list_snapshot", "beep"]
+    snapshots = [r for r in records(log) if r["kind"] == "sorted_list_snapshot"]
+    assert len(snapshots[0]["entries"]) == 300
+    assert {e["caller"] for e in snapshots[1]["entries"]} == set(callers) - {"caller001"} | {"late"}
+    forwards = forwards_of(log)
+    assert len(forwards) == 2 * 300  # 301 beeps to tv and laptop, but the attended one
+    assert all(canonical(f["alert"]) == written[f["alert"]["seq"] - 1][:-1] for f in forwards)
 
 
 def test_forwards_of_one_due_alert_are_each_compact_json_dumps():

@@ -64,6 +64,19 @@ def test_repeated_transitions_are_idempotent():
     assert monitor.exposure_start_ms == 5000
 
 
+def test_on_safety_reports_whether_the_exposure_state_changed():
+    monitor = CallMonitor(LIMIT)
+    assert monitor.on_safety(0, entering=True) is False  # no call
+    monitor.start_call(0, "c1", safety=False)
+    assert monitor.on_safety(1000, entering=False) is False  # already exposed
+    assert monitor.on_safety(2000, entering=True) is True
+    assert monitor.on_safety(3000, entering=True) is False  # already in safety mode
+    assert monitor.on_safety(4000, entering=False) is True
+    assert monitor.next_warning_ms == 4000 + LIMIT
+    monitor.end_call(5000)
+    assert monitor.on_safety(6000, entering=False) is False  # the call has ended
+
+
 def test_call_starting_in_safety_mode_has_no_pending_warning():
     monitor = CallMonitor(LIMIT)
     monitor.start_call(0, "c1", safety=True)
