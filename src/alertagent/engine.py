@@ -7,8 +7,10 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import os
+import tempfile
+import weakref
 from array import array
-from bisect import bisect_right
 from collections.abc import Sequence
 from itertools import accumulate, count
 from json.encoder import encode_basestring_ascii
@@ -94,22 +96,19 @@ parse_scenario = Scenario  # the scenario in a source; nothing is read until it 
 # ---------------------------------------------------------------------------
 # Alert log
 
-_BLOCK = 4096  # characters of short log lines packed into one text block
-
-
 class AlertLog(Sequence[Alert]):
-    """A run's alerts as their finished log lines, each ending in "\\n": ``write`` appends
-    a line as it is, and ``pack`` joins the lines written since into text blocks, so
-    ``lines`` holds the blocks, then the lines not yet packed. Reading an alert slices
-    its line out and splits the head, '{"t":T,"seq":S,"kind":"K",' (no comma inside T,
-    S or K), off its fields. ``entries`` is the log itself."""
+    """A run's alerts as their finished log lines, each ASCII and ending in "\\n": ``write``
+    appends a line to ``lines``, and ``pack`` moves those to the spool, an anonymous
+    temporary file, noting where each ends. Reading an alert takes its line from either
+    and splits the head, '{"t":T,"seq":S,"kind":"K",' (no comma inside T, S or K), off
+    its fields. ``entries`` is the log itself."""
 
     def __init__(self, entries: Iterable[Alert] = (), diagnostics: list[str] | None = None):
         self.lines: list[str] = []
         self.write = self.lines.append  # one C call per alert; ``lines`` is never rebound
-        # Offsets in the log's text: where each packed line ends, after a leading 0,
-        # and where each block starts.
-        self._ends, self._spans = array("q", [0]), array("q")
+        self._spool = tempfile.TemporaryFile()
+        weakref.finalize(self, self._spool.close)  # on every path, a failed run's too
+        self._ends = array("q", [0])  # where each spooled line ends, after a leading 0
         self.diagnostics = [] if diagnostics is None else diagnostics
         for a in entries:
             self.write(f"{_head(a.t, a.seq, a.kind)}{a.fields}}}\n")
@@ -117,32 +116,33 @@ class AlertLog(Sequence[Alert]):
     entries = property(lambda self: self)
 
     def pack(self) -> None:
-        """Join the lines written since the last pack into blocks of at most _BLOCK
-        characters; a longer line becomes a block of its own, and is not copied."""
-        lines, ends, spans = self.lines, self._ends, self._spans
-        tail, first = lines[len(spans):], len(ends) - 1
-        del lines[len(spans):]
-        ends.extend(accumulate(map(len, tail), initial=ends.pop()))  # the last end, again
-        start = first
-        while start < len(ends) - 1:
-            cut = max(start + 1, bisect_right(ends, ends[start] + _BLOCK, start) - 1)
-            spans.append(ends[start])
-            lines.append("".join(tail[start - first:cut - first]))
-            start = cut
+        """Append the lines written since the last pack to the spool's end: one write per
+        line, as joining them first would hold a batch's text twice over at once."""
+        self._ends.extend(accumulate(map(len, self.lines), initial=self._ends.pop()))
+        self._spool.seek(0, os.SEEK_END)
+        self._spool.writelines(line.encode("ascii") for line in self.lines)
+        self.lines.clear()
+
+    def _read(self, start: int, end: int) -> str:
+        """The spooled text from offset ``start`` up to ``end``, or to the spool's end."""
+        self._spool.seek(start)
+        return self._spool.read(end - start).decode("ascii")
+
+    def chunks(self) -> Iterator[str]:
+        """The log's text, packed first, in chunks of at most 64 KiB."""
+        self.pack()
+        for start in range(0, self._ends[-1], 1 << 16):
+            yield self._read(start, start + (1 << 16))
 
     def __len__(self) -> int:
-        return len(self._ends) - 1 + len(self.lines) - len(self._spans)
+        return len(self._ends) - 1 + len(self.lines)
 
     def __getitem__(self, index: int) -> Alert:
-        packed = len(self._ends) - 1
         index = range(len(self))[index]  # as a list's index: from the end if negative
-        if index >= packed:  # an entry of its own, after the blocks
-            line = self.lines[len(self._spans) + index - packed]
+        if index >= (packed := len(self._ends) - 1):
+            line = self.lines[index - packed]
         else:
-            start, end = self._ends[index], self._ends[index + 1]
-            entry = bisect_right(self._spans, start) - 1
-            offset = self._spans[entry]
-            line = self.lines[entry][start - offset:end - offset]
+            line = self._read(self._ends[index], self._ends[index + 1])
         t, seq, kind, fields = line.split(",", 3)
         return Alert(int(t[5:]), int(seq[6:]), kind[8:-1], fields[:-2])
 
@@ -173,7 +173,7 @@ def _head(t: int, seq: int, kind: str) -> str:
 
 def write_alert_log(log: AlertLog, sink: str | Path | IO[str]) -> None:
     """Write the log's lines, as they are, to the sink."""
-    write_text(sink, log.lines)
+    write_text(sink, log.chunks())
 
 
 def read_alert_log(source: str | Path | IO[str]) -> list[Alert]:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import importlib.util
 import io
 import json
+import tempfile
 from itertools import zip_longest
 from pathlib import Path
 from types import ModuleType
@@ -76,8 +77,9 @@ def replay(scenario: Scenario | str | Iterable[dict], kb: dict | KnowledgeBase |
     lines, through the calls ``alertagent run`` makes; ``kb`` is a KB document or
     a loaded knowledge base (empty by default), and ``config`` defaults to
     ``AgentConfig()``. The log is the engine's own lines as ``write_alert_log``
-    writes them, checked against the same alerts decoded one by one and laid out
-    again, and the log's decoding view is checked to index as a list of them does."""
+    writes them, to a path and then again to a stream, with the same bytes both
+    times, checked against the same alerts decoded one by one and laid out again;
+    after both writes the log's decoding view is checked to index as a list of them does."""
     if not isinstance(scenario, Scenario):
         text = scenario if isinstance(scenario, str) else _scenario_text(scenario)
         scenario = parse_scenario(io.StringIO(text))
@@ -86,7 +88,11 @@ def replay(scenario: Scenario | str | Iterable[dict], kb: dict | KnowledgeBase |
     engine = Engine(config or AgentConfig(), kb)
     log = engine.run(scenario)
     sink = io.StringIO()
-    write_alert_log(log, sink)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "log.jsonl"
+        write_alert_log(log, path)
+        write_alert_log(log, sink)
+        assert_same_text(path.read_bytes().decode("utf-8"), sink.getvalue())
     alerts = list(log)
     assert_same_text(log_text(alerts), sink.getvalue())
     _check_index(log, alerts)
@@ -114,6 +120,11 @@ def log_text(alerts: list[Alert]) -> str:
     sink = io.StringIO()
     write_alert_log(AlertLog(entries=alerts), sink)
     return sink.getvalue()
+
+
+def drop_unwritten(alerts: list[Alert]) -> None:
+    """Build the log of these alerts and drop it without writing it."""
+    AlertLog(entries=alerts)
 
 
 def rewrite(log: str) -> str:

@@ -1,21 +1,25 @@
 from __future__ import annotations
 
+import gc
 import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+import warnings
 
 import pytest
 
 from alertagent.cli import main
 from alertagent.config import load_config
+from alertagent.engine import read_alert_log
 from alertagent.errors import InputError
 from alertagent.kb import load_kb
 from alertagent.model import read_json
 
-from helpers import ROOT, contact_doc, kb_doc
+from helpers import ROOT, contact_doc, drop_unwritten, kb_doc
 
 
 @pytest.fixture
@@ -165,10 +169,17 @@ def _peak_traced_bytes(tmp_path, scenario) -> int:
     return peak
 
 
-def test_run_memory_does_not_grow_with_the_event_count(tmp_path, capsys):
-    small = _peak_traced_bytes(tmp_path, _quiet_scenario(tmp_path, 5_000))
-    large = _peak_traced_bytes(tmp_path, _quiet_scenario(tmp_path, 20_000))
-    assert capsys.readouterr().out.count("alerts=0 ") == 2
+@pytest.mark.parametrize("scenario, alerts_per_event", [(_quiet_scenario, 0), (_beep_scenario, 1)],
+                         ids=["quiet", "beeps"])
+def test_run_memory_does_not_grow_with_the_event_count(tmp_path, capsys, scenario,
+                                                       alerts_per_event):
+    """Neither events nor the alerts they raise hold memory once written: the log's
+    lines go to its spool at the end of each batch, and only their end offsets stay."""
+    small = _peak_traced_bytes(tmp_path, scenario(tmp_path, 5_000))
+    large = _peak_traced_bytes(tmp_path, scenario(tmp_path, 20_000))
+    out = capsys.readouterr().out
+    assert f"alerts={5_000 * alerts_per_event} " in out
+    assert f"alerts={20_000 * alerts_per_event} " in out
     assert large - small <= 256 * 1024, (small, large)
 
 
@@ -181,9 +192,8 @@ def test_run_memory_does_not_grow_with_no_op_safety_events(tmp_path, capsys):
 
 
 def test_run_memory_grows_by_little_more_than_each_alerts_line(tmp_path, capsys):
-    """The run holds its log as the lines it writes, packed into text blocks: each
-    added alert keeps its line's bytes and at most 16 B more (its end offset, and its
-    share of its block's header, list slot and start offset)."""
+    """The run spools its log's lines to a file at the end of each batch, so each added
+    alert keeps in memory its 8 B end offset: within its line's bytes and 16 B more."""
     small, large = _beep_scenario(tmp_path, 5_000), _beep_scenario(tmp_path, 20_000)
     small_peak = _peak_traced_bytes(tmp_path, small)
     peak_growth = _peak_traced_bytes(tmp_path, large) - small_peak
@@ -192,6 +202,44 @@ def test_run_memory_grows_by_little_more_than_each_alerts_line(tmp_path, capsys)
     log_growth = large.with_suffix(".log").stat().st_size - small.with_suffix(".log").stat().st_size
     added = 15_000
     assert peak_growth / added <= log_growth / added + 16, (peak_growth / added, log_growth / added)
+
+
+@pytest.fixture
+def spools(monkeypatch):
+    """Every spool the test's alert logs open. Once the test has dropped its logs and
+    the garbage collector has run, each must be closed, with no ResourceWarning."""
+    opened, make = [], tempfile.TemporaryFile
+
+    def recording(*args, **kwargs):
+        opened.append(make(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        yield opened
+        gc.collect()
+    assert opened and all(spool.closed for spool in opened)
+
+
+def test_a_run_closes_its_log_spool(workspace, spools, capsys):
+    tmp_path, scenario, kb, _ = workspace
+    assert main(["run", "--scenario", str(scenario), "--kb", str(kb),
+                 "--out", str(tmp_path / "o")]) == 0
+
+
+def test_a_run_that_fails_mid_scenario_closes_its_log_spool(workspace, spools, capsys):
+    tmp_path, _, kb, _ = workspace
+    scenario = tmp_path / "bad-last.jsonl"
+    scenario.write_text("".join(f'{{"t": {t}, "type": "message_received", "caller": "c1"}}\n'
+                                for t in range(1000)) + "{broken\n", encoding="utf-8")
+    assert main(["run", "--scenario", str(scenario), "--kb", str(kb),
+                 "--out", str(tmp_path / "o")]) == 1
+    assert "line 1001" in capsys.readouterr().err
+
+
+def test_a_log_dropped_unwritten_closes_its_spool(spools):
+    drop_unwritten(read_alert_log(io.StringIO('{"t":0,"seq":1,"kind":"ring","caller":"c1"}\n')))
 
 
 def test_run_missing_input_file_is_code_1(workspace, capsys):

@@ -12,7 +12,7 @@ import pytest
 
 from alertagent.cli import main
 from alertagent.config import load_config
-from alertagent.engine import _BLOCK, parse_scenario, read_alert_log
+from alertagent.engine import parse_scenario, read_alert_log
 from alertagent.errors import AlertLogError, ScenarioError
 from alertagent.kb import SafetyRecord, load_kb
 from alertagent.model import (
@@ -842,10 +842,10 @@ def test_rewriting_a_read_log_sorts_top_level_keys_and_keeps_nested_ones():
 
 
 def test_a_snapshot_longer_than_a_log_block_between_short_lines():
-    # The run packs the beeps of 300 callers into text blocks at the end of each batch
-    # of events; its snapshot, longer than a block, stands between two beeps. The
-    # attendance, in the second batch, names a beep packed into the first block and
-    # acknowledges that caller's message.
+    # The run spools the beeps of 300 callers at the end of each batch of events; its
+    # snapshot, longer than 4096 characters, stands between two beeps. The attendance,
+    # in the second batch, names a beep spooled with the first batch and acknowledges
+    # that caller's message.
     callers = [f"caller{n:03}" for n in range(300)]
     lines = [{"t": 0, "type": "user_context", "context": "Home"}]
     lines += [{"t": 1000 + n, "type": "message_received", "caller": caller}
@@ -859,7 +859,7 @@ def test_a_snapshot_longer_than_a_log_block_between_short_lines():
     log = replay(lines, FORWARD_KB).log
     written = log.splitlines(keepends=True)
     first = written.index(next(line for line in written if "sorted_list_snapshot" in line))
-    assert len(written[first]) > _BLOCK
+    assert len(written[first]) > 4096
     assert [r["kind"] for r in records("".join(written[first - 1:first + 2]))] == [
         "beep", "sorted_list_snapshot", "beep"]
     snapshots = [r for r in records(log) if r["kind"] == "sorted_list_snapshot"]
