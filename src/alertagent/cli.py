@@ -23,11 +23,9 @@ EXIT_BROKEN_PIPE = 128 + 13  # 128 + SIGPIPE, as the shell reports
 
 
 def _load_input(path: str, loader):
-    """Load an input file; missing or unreadable files are invalid input."""
+    """Load an input file; an InputError, which an unreadable file raises too, names it."""
     try:
         return loader(path)
-    except OSError as exc:
-        raise InputError(f"{path}: {exc.strerror or exc}") from exc
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from exc
 

@@ -102,12 +102,14 @@ def _lines(source: str | Path | IO[str], error: type[InputError]) -> Iterator[st
     if not isinstance(source, (str, Path)):
         yield from source
         return
-    with open(source, "rb") as file:
-        for lineno, raw in enumerate(file, start=1):
-            try:
+    try:
+        with open(source, "rb") as file:
+            for lineno, raw in enumerate(file, start=1):
                 yield raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise error(f"line {lineno}: invalid UTF-8: {exc.reason}") from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"line {lineno}: invalid UTF-8: {exc.reason}") from exc
+    except OSError as exc:
+        raise error(exc.strerror or str(exc)) from exc
 
 
 def read_json_lines(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import gc
 import io
 import json
@@ -177,9 +178,8 @@ def test_run_memory_does_not_grow_with_the_event_count(tmp_path, capsys, scenari
     lines go to its spool at the end of each batch, and only their end offsets stay."""
     small = _peak_traced_bytes(tmp_path, scenario(tmp_path, 5_000))
     large = _peak_traced_bytes(tmp_path, scenario(tmp_path, 20_000))
-    out = capsys.readouterr().out
-    assert f"alerts={5_000 * alerts_per_event} " in out
-    assert f"alerts={20_000 * alerts_per_event} " in out
+    alerts = [word for word in capsys.readouterr().out.split() if word.startswith("alerts=")]
+    assert alerts == [f"alerts={5_000 * alerts_per_event}", f"alerts={20_000 * alerts_per_event}"]
     assert large - small <= 256 * 1024, (small, large)
 
 
@@ -254,6 +254,37 @@ def test_run_missing_input_file_is_code_1(workspace, capsys):
     )
     assert code == 1
     assert "nope.json" in capsys.readouterr().err
+
+
+def test_run_missing_scenario_is_code_1(workspace, capsys):
+    tmp_path, _, kb, _ = workspace
+    missing = tmp_path / "nope.jsonl"
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", str(missing), "--kb", str(kb), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {missing}: ")
+    assert not out.exists()
+
+
+class _FullSpool(io.BytesIO):
+    """A log spool on a full disk: every write fails with ENOSPC."""
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    writelines = write
+
+
+def test_run_whose_log_spool_fails_is_code_2(workspace, monkeypatch, capsys):
+    """A spool that cannot be written is an internal error, not a fault of the
+    scenario the run was reading: exit 2, naming no input, and no log written."""
+    tmp_path, scenario, kb, _ = workspace
+    monkeypatch.setattr(tempfile, "TemporaryFile", _FullSpool)
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", str(scenario), "--kb", str(kb), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ") and os.strerror(errno.ENOSPC) in err
+    assert str(scenario) not in err
+    assert not out.exists()
 
 
 def test_run_unwritable_out_is_code_2(workspace, capsys):
