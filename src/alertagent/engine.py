@@ -103,15 +103,15 @@ class AlertLog(Sequence[Alert]):
     and splits the head, '{"t":T,"seq":S,"kind":"K",' (no comma inside T, S or K), off
     its fields. ``entries`` is the log itself."""
 
-    def __init__(self, entries: Iterable[Alert] = (), diagnostics: list[str] | None = None):
+    def __init__(self, entries: Iterable[Alert] = ()):
         self.lines: list[str] = []
         self.write = self.lines.append  # one C call per alert; ``lines`` is never rebound
         self._spool = tempfile.TemporaryFile()
         weakref.finalize(self, self._spool.close)  # on every path, a failed run's too
         self._ends = array("q", [0])  # where each spooled line ends, after a leading 0
-        self.diagnostics = [] if diagnostics is None else diagnostics
+        self.diagnostics: list[str] = []
         for a in entries:
-            self.write(f"{_head(a.t, a.seq, a.kind)}{a.fields}}}\n")
+            self.write(_line(*a))
 
     entries = property(lambda self: self)
 
@@ -166,9 +166,9 @@ def _fields(payload: dict[str, Any]) -> str:
     return ("".join(_C_ENCODER(record, 0)) if _C_ENCODER else _ENCODER.encode(record))[1:-1]
 
 
-def _head(t: int, seq: int, kind: str) -> str:
-    """What opens an alert's log line: t, seq and kind. Its fields and "}\\n" follow."""
-    return f'{{"t":{t},"seq":{seq},"kind":"{kind}",'
+def _line(t: int, seq: int, kind: str, fields: str) -> str:
+    """An alert's log line: t, seq and kind, then its fields, and "}\\n"."""
+    return f'{{"t":{t},"seq":{seq},"kind":"{kind}",{fields}}}\n'
 
 
 def write_alert_log(log: AlertLog, sink: str | Path | IO[str]) -> None:
@@ -189,9 +189,9 @@ def read_alert_log(source: str | Path | IO[str]) -> list[Alert]:
 # the exact same instant is a reach, not a crossing, and must not fire.
 _EPOCH_TERMINATORS = frozenset({"call_end", "safety_mode_enter"})
 
-# A deadline's subsystem, which orders same-instant deadlines: an exposure
-# crossing, then a tracker timeout, then the forward of an unattended alert.
-_CROSSING, _TIMEOUT, _FORWARD = range(3)
+# A heap deadline's subsystem, which orders same-instant deadlines: a tracker
+# timeout, then the forward of an unattended alert.
+_TIMEOUT, _FORWARD = range(2)
 
 # The run dispatches events in batches of at least this many (about 0.1 MB), cut
 # between instants: one by one, parse and dispatch interleaved took 10-20% longer.
@@ -201,10 +201,11 @@ _BATCH = 256
 class Engine:
     """One scenario run. Owns copies of the knowledge base and all state.
 
-    Every internal deadline waits in one heap of (t, subsystem, creation number, key),
-    so same-instant deadlines fire by subsystem, then in creation order. An entry whose
-    subsystem has dropped it since (call ended, report arrived, alert attended) is
-    skipped when it comes up."""
+    The active call's next exposure crossing is the monitor's ``next_warning_ms``.
+    Every other internal deadline waits in one heap of (t, subsystem, creation number,
+    key), so same-instant deadlines fire by subsystem, then in creation order, after a
+    crossing at that instant. A heap entry whose subsystem has dropped it since (report
+    arrived, alert attended) is skipped when it comes up."""
 
     def __init__(self, config: AgentConfig, kb: KnowledgeBase):
         config.validate()
@@ -226,7 +227,6 @@ class Engine:
         self._created = count()
         # seq -> (kind, line) of each user-facing alert neither attended nor forwarded yet
         self._pending: dict[int, tuple[str, str]] = {}
-        self._handlers = {kind: getattr(self, f"_on_{kind}") for kind in _EVENT_FIELDS}
 
     # -- plumbing -----------------------------------------------------------
 
@@ -238,16 +238,15 @@ class Engine:
 
     def _emit_fields(self, kind: str, fields: str) -> None:
         seq = self._alerts = self._alerts + 1
-        line = f"{_head(self.clock, seq, kind)}{fields}}}\n"
+        line = _line(self.clock, seq, kind, fields)
         self.entries.write(line)
         if kind in USER_FACING_ALERT_KINDS:
             self._pending[seq] = (kind, line)
             self._push(self.clock + self.config.attend_window_ms, _FORWARD, seq)
 
     def _emit_snapshot(self) -> None:
-        self._alerts += 1
-        head = _head(self.clock, self._alerts, "sorted_list_snapshot")
-        self.entries.write(self.tally.snapshot(self.clock, self.config.sorter_t_floor_min, head))
+        self._emit_fields("sorted_list_snapshot",
+                          self.tally.snapshot(self.clock, self.config.sorter_t_floor_min))
 
     def _emit_tracker(self, kind: str, task: TrackerTask) -> None:
         self._emit(kind, {"prompt_id": task.prompt_id, "callee": task.callee_id,
@@ -258,30 +257,29 @@ class Engine:
     def _push(self, t: int, subsystem: int, key: Any = None) -> None:
         heapq.heappush(self._deadlines, (t, subsystem, next(self._created), key))
 
-    def _push_crossing(self) -> None:
-        """Queue the active call's next exposure crossing, if its exposure runs."""
-        if self.monitor.next_warning_ms is not None:
-            self._push(self.monitor.next_warning_ms, _CROSSING)
-
     def _fire_deadlines(self, before: float) -> None:
-        """Fire every live deadline earlier than ``before``."""
-        deadlines = self._deadlines
-        while deadlines and deadlines[0][0] < before:
-            t, subsystem, _, key = heapq.heappop(deadlines)
-            self.clock = t
-            if subsystem == _CROSSING:
-                if self.monitor.next_warning_ms == t:
-                    self._fire_crossing()
-            elif subsystem == _TIMEOUT:
-                task = self.tracker.expire(key)
-                if task is not None:
-                    self._emit_tracker("tracker_expired", task)
-            elif (pending := self._pending.pop(key, None)) is not None:
-                self._forward(*pending)
+        """Fire every live deadline earlier than ``before``, in time order: the monitor's
+        crossing, which wins a tie, and the heap's entries."""
+        deadlines, monitor = self._deadlines, self.monitor
+        while True:
+            due = monitor.next_warning_ms
+            if deadlines and deadlines[0][0] < before and (due is None or deadlines[0][0] < due):
+                t, subsystem, _, key = heapq.heappop(deadlines)
+                self.clock = t
+                if subsystem == _TIMEOUT:
+                    task = self.tracker.expire(key)
+                    if task is not None:
+                        self._emit_tracker("tracker_expired", task)
+                elif (pending := self._pending.pop(key, None)) is not None:
+                    self._forward(*pending)
+            elif due is not None and due < before:
+                self.clock = due
+                self._fire_crossing()
+            else:
+                return
 
     def _fire_crossing(self) -> None:
         exposure = self.monitor.note_warning()
-        self._push_crossing()
         # The limit is passed only if the exposure stretch outlasts this instant.
         if self.clock not in self._ending:
             self._emit("radiation_incall_warning",
@@ -295,7 +293,7 @@ class Engine:
     # -- per-event handlers, each calling its stages in the documented order --
 
     def _dispatch(self, ev: Event) -> None:
-        self._handlers[ev.kind](ev)
+        _HANDLERS[ev.kind](self, ev)
 
     def _on_call_start(self, ev: Event) -> None:
         caller = ev.data["caller"]
@@ -327,7 +325,6 @@ class Engine:
                     {"caller": caller, "probability": unsafe_probability(record)},
                 )
             self.monitor.start_call(ev.t, caller, ev.data.get("safety", False))
-            self._push_crossing()
         # sorter stage
         self.tally.add(caller, "call", ev.t, group)
 
@@ -341,8 +338,8 @@ class Engine:
     def _on_safety_mode(self, ev: Event) -> None:
         if self.monitor.caller_id is None:
             self._note(f"{ev.kind} with no active call")
-        elif self.monitor.on_safety(ev.t, entering=ev.kind == "safety_mode_enter"):
-            self._push_crossing()
+        else:
+            self.monitor.on_safety(ev.t, entering=ev.kind == "safety_mode_enter")
 
     _on_safety_mode_enter = _on_safety_mode_exit = _on_safety_mode
 
@@ -413,8 +410,8 @@ class Engine:
     # -- main loop ------------------------------------------------------------
 
     def _run_batch(self, events: list[Event]) -> None:
-        # A crossing fires before the first event at or after its instant (it is
-        # pushed a positive limit after the instant that pushes it), and batches
+        # A crossing fires before the first event at or after its instant (it falls
+        # a positive limit after the instant that sets it), and batches
         # hold whole instants, so this batch knows whether that instant ends exposure.
         self._ending = {ev.t for ev in events if ev.kind in _EPOCH_TERMINATORS}
         for ev in events:
@@ -443,3 +440,6 @@ class Engine:
         self.entries.pack()
         return self.entries
 
+
+# Each event kind's handler, an Engine function taking the engine and the event.
+_HANDLERS = {kind: getattr(Engine, f"_on_{kind}") for kind in _EVENT_FIELDS}

@@ -58,13 +58,11 @@ class CallMonitor:
         self.start_ms = t
         self._expose(None if safety else t)
 
-    def on_safety(self, t: int, entering: bool) -> bool:
-        """Apply a safety-mode transition; returns whether the exposure state changed,
-        which repeating the current state, or no call, never does."""
-        changed = self.caller_id is not None and entering != (self.exposure_start_ms is None)
-        if changed:
+    def on_safety(self, t: int, entering: bool) -> None:
+        """Apply a safety-mode transition; repeating the current state, or no call,
+        changes nothing."""
+        if self.caller_id is not None and entering != (self.exposure_start_ms is None):
             self._expose(None if entering else t)
-        return changed
 
     def end_call(self, t: int) -> tuple[str, int]:
         """Close the call; returns (caller id, main timer duration)."""

@@ -35,11 +35,9 @@ class MissedItemTally:
         """Drop the caller's record of that kind. True if one existed."""
         return self._items.pop((caller_id, kind), None) is not None
 
-    def snapshot(self, now_ms: int, t_floor_min: float, head: str = "") -> str:
+    def snapshot(self, now_ms: int, t_floor_min: float) -> str:
         """Rank the records as a snapshot alert's fields, highest score first: the
         compact JSON text ``"entries":[...]`` of the array of {caller, kind, score}.
-        Given the ``head`` that opens the alert's log line, the whole line, with
-        its closing "}\\n".
 
         Ties break by higher group weight, then more recent latest item, then
         caller id ascending, then item kind (call before message); no two records
@@ -55,10 +53,8 @@ class MissedItemTally:
         ranked.sort()
         if ranked and not math.isfinite(ranked[0][0]):
             raise ValueError(f"snapshot score {-ranked[0][0]!r} is not a finite number")
-        # One join, the line's head and end included, and no copy after it: a snapshot
-        # runs to tens of kB, and concatenating onto it raised callback_snapshots' heap.
-        parts = [head, '"entries":[']
+        parts = ['"entries":[']
         for index, (neg_score, _w, _l, _key, prefix) in enumerate(ranked):
             parts.append(f"{',' if index else ''}{prefix}{-neg_score!r}}}")
-        parts.append("]}\n" if head else "]")
+        parts.append("]")
         return "".join(parts)

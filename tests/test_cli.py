@@ -228,6 +228,19 @@ def test_a_run_closes_its_log_spool(workspace, spools, capsys):
                  "--out", str(tmp_path / "o")]) == 0
 
 
+def test_a_run_closes_its_log_spool_without_the_cycle_collector(workspace, spools, capsys):
+    # Reference counting alone frees the run's engine and log: nothing they hold
+    # refers back to them, so the spool is closed by the time main returns.
+    tmp_path, scenario, kb, _ = workspace
+    gc.disable()
+    try:
+        assert main(["run", "--scenario", str(scenario), "--kb", str(kb),
+                     "--out", str(tmp_path / "o")]) == 0
+        assert spools and all(spool.closed for spool in spools)
+    finally:
+        gc.enable()
+
+
 def test_a_run_that_fails_mid_scenario_closes_its_log_spool(workspace, spools, capsys):
     tmp_path, _, kb, _ = workspace
     scenario = tmp_path / "bad-last.jsonl"

@@ -634,6 +634,40 @@ def test_same_instant_deadlines_fire_by_subsystem():
     assert at_instant == ["radiation_incall_warning", "tracker_expired", "forward_to_device"]
 
 
+@pytest.mark.parametrize(("lines", "timeout_ms", "fired"), [
+    # c2's beep at 300 000 forwards at 360 000, the instant of c1's first crossing.
+    ([{"t": 300_000, "type": "message_received", "caller": "c2"}], 86_400_000,
+     [(300_000, "beep"), (360_000, "radiation_incall_warning"),
+      (360_000, "forward_to_device"), (720_000, "radiation_incall_warning")]),
+    # No event from 1 to 800 000: crossings at 360 000 and 720 000, c3's timeout between.
+    ([{"t": 0, "type": "call_failed", "callee": "c3", "reason": "unreachable"},
+      {"t": 1, "type": "user_response", "prompt_id": "p1", "answer": "yes"}], 500_000,
+     [(360_000, "radiation_incall_warning"), (500_001, "tracker_expired"),
+      (720_000, "radiation_incall_warning")]),
+], ids=["tie_with_a_forward", "timeout_between_two_crossings"])
+def test_crossings_and_heap_deadlines_fire_in_time_order(lines, timeout_ms, fired):
+    # A crossing wins a tie with a deadline of any other subsystem, and a gap
+    # between two events fires its crossings and other deadlines interleaved by time.
+    doc = kb_doc(devices=[{"device_id": "tv", "contexts": ["Home"], "kinds": ["beep"]}])
+    lines = [{"t": 0, "type": "user_context", "context": "Home"},
+             {"t": 0, "type": "call_start", "caller": "c1"}, *lines,
+             {"t": 800_000, "type": "call_end"}]
+    log = replay(lines, doc, AgentConfig(tracker_timeout_ms=timeout_ms)).log
+    assert [(r["t"], r["kind"]) for r in records(log) if 1 < r["t"] < 800_000] == fired
+
+
+@pytest.mark.parametrize(("last", "unraised"), [
+    ({"t": 359_999, "type": "call_end"}, "radiation_incall_warning"),
+    ({"t": 59_999, "type": "notification_attended", "alert_id": 1}, "forward_to_device"),
+], ids=["crossing", "forward"])
+def test_a_deadline_one_ms_after_an_event_waits_for_it(last, unraised):
+    # The event one ms before the deadline drops it: a call_end the crossing at
+    # 360 000, an attendance the forward of c1's ring at 60 000.
+    lines = [{"t": 0, "type": "user_context", "context": "Home"},
+             {"t": 0, "type": "call_start", "caller": "c1"}, last]
+    assert unraised not in kinds_of(replay(lines, FORWARD_KB).log)
+
+
 def test_same_instant_tracker_timeouts_fire_in_acceptance_order():
     lines = [
         {"t": 0, "type": "call_failed", "callee": "c3", "reason": "unreachable"},

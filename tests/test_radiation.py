@@ -64,17 +64,26 @@ def test_repeated_transitions_are_idempotent():
     assert monitor.exposure_start_ms == 5000
 
 
-def test_on_safety_reports_whether_the_exposure_state_changed():
+def test_on_safety_moves_the_crossing_only_on_a_real_transition():
+    def exposure(monitor):
+        return monitor.exposure_start_ms, monitor.next_warning_ms
+
     monitor = CallMonitor(LIMIT)
-    assert monitor.on_safety(0, entering=True) is False  # no call
+    for entering in (True, False):
+        monitor.on_safety(0, entering=entering)  # no call
+        assert exposure(monitor) == (None, None)
     monitor.start_call(0, "c1", safety=False)
-    assert monitor.on_safety(1000, entering=False) is False  # already exposed
-    assert monitor.on_safety(2000, entering=True) is True
-    assert monitor.on_safety(3000, entering=True) is False  # already in safety mode
-    assert monitor.on_safety(4000, entering=False) is True
-    assert monitor.next_warning_ms == 4000 + LIMIT
+    monitor.on_safety(1000, entering=False)  # already exposed: the stretch runs on
+    assert exposure(monitor) == (0, LIMIT)
+    monitor.on_safety(2000, entering=True)
+    assert exposure(monitor) == (None, None)
+    monitor.on_safety(3000, entering=True)  # already in safety mode
+    assert exposure(monitor) == (None, None)
+    monitor.on_safety(4000, entering=False)
+    assert exposure(monitor) == (4000, 4000 + LIMIT)
     monitor.end_call(5000)
-    assert monitor.on_safety(6000, entering=False) is False  # the call has ended
+    monitor.on_safety(6000, entering=False)  # the call has ended
+    assert exposure(monitor) == (None, None)
 
 
 def test_call_starting_in_safety_mode_has_no_pending_warning():
