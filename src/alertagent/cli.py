@@ -41,7 +41,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         save_kb(engine.kb, args.kb_out)
     print(
         f"scenario={Path(args.scenario).stem} events={scenario.count} "
-        f"alerts={len(log.entries)} diagnostics={len(log.diagnostics)}"
+        f"alerts={len(log.entries)} diagnostics={len(engine.diagnostics)}"
     )
     return EXIT_OK
 

@@ -33,10 +33,10 @@ def signal_key(signal_kind: str, signal_value: str) -> str:
 
 
 class ContextEngine:
-    """Tracks the current context for one run. Starts at Unknown, unpinned."""
+    """Tracks one run's context, from Unknown and unpinned; reads, never copies, ``registry``."""
 
     def __init__(self, registry: Mapping[str, Context]):
-        self._registry = dict(registry)
+        self._registry = registry
         self.current = Context.UNKNOWN
         self.user_pinned = False
 

@@ -109,7 +109,6 @@ class AlertLog(Sequence[Alert]):
         self._spool = tempfile.TemporaryFile()
         weakref.finalize(self, self._spool.close)  # on every path, a failed run's too
         self._ends = array("q", [0])  # where each spooled line ends, after a leading 0
-        self.diagnostics: list[str] = []
         for a in entries:
             self.write(_line(*a))
 
@@ -199,7 +198,8 @@ _BATCH = 256
 
 
 class Engine:
-    """One scenario run. Owns copies of the knowledge base and all state.
+    """One scenario run. Owns all its state, but of the knowledge base copies only the map of
+    safety records, the one part a run changes. ``diagnostics`` notes what it could not act on.
 
     The active call's next exposure crossing is the monitor's ``next_warning_ms``.
     Every other internal deadline waits in one heap of (t, subsystem, creation number,
@@ -222,6 +222,7 @@ class Engine:
 
         self.clock = 0
         self.entries = AlertLog()
+        self.diagnostics: list[str] = []
         self._alerts = 0  # the log's length, kept here: len() of it is a Python call
         self._deadlines: list[tuple[int, int, int, Any]] = []
         self._created = count()
@@ -231,7 +232,7 @@ class Engine:
     # -- plumbing -----------------------------------------------------------
 
     def _note(self, message: str) -> None:
-        self.entries.diagnostics.append(f"t={self.clock}: {message}")
+        self.diagnostics.append(f"t={self.clock}: {message}")
 
     def _emit(self, kind: str, payload: dict[str, Any]) -> None:
         self._emit_fields(kind, _fields(payload))

@@ -62,7 +62,7 @@ _DEVICE = {
 _RECORD = {"total": need_int(), "unsafe": need_int()}
 
 
-@dataclass
+@dataclass(frozen=True)
 class SafetyRecord:
     """Per-caller tally of calls that ran past the safe conversation limit."""
 
@@ -118,32 +118,20 @@ class KnowledgeBase:
         contact = self.contacts.get(caller_id)
         return contact.temp_important if contact is not None else False
 
-    def record_call(self, caller_id: str, unsafe: bool) -> SafetyRecord:
-        """Count one finished call; creates the caller's record on first use.
+    def record_call(self, caller_id: str, unsafe: bool) -> None:
+        """Count one finished call in a new record for the caller, from zero on first use.
 
         A count stops at MAX_T, the bound a loaded record is held to, so a saved
         knowledge base always loads again, and unsafe stays at most total.
         """
-        record = self.safety_records.get(caller_id)
-        if record is None:
-            record = SafetyRecord()
-            self.safety_records[caller_id] = record
-        record.total_calls = min(record.total_calls + 1, MAX_T)
-        if unsafe:
-            record.unsafe_calls = min(record.unsafe_calls + 1, MAX_T)
-        return record
+        record = self.safety_records.get(caller_id) or SafetyRecord()
+        self.safety_records[caller_id] = SafetyRecord(
+            min(record.total_calls + 1, MAX_T), min(record.unsafe_calls + unsafe, MAX_T))
 
     def copy(self) -> KnowledgeBase:
-        """A copy a run may change. Only ``record_call`` changes anything, so the
-        safety records are copied; contacts and devices are frozen and shared."""
-        return KnowledgeBase(
-            contacts=dict(self.contacts),
-            safety_records={
-                caller_id: replace(record) for caller_id, record in self.safety_records.items()
-            },
-            devices=list(self.devices),
-            context_signals=dict(self.context_signals),
-        )
+        """A copy a run may change. Only ``record_call`` changes anything, and it stores a
+        new record, so only the map of safety records is copied; the rest is shared."""
+        return replace(self, safety_records=dict(self.safety_records))
 
     def validate(self) -> None:
         for key, contact in self.contacts.items():
@@ -194,9 +182,7 @@ def kb_from_dict(doc: Any) -> KnowledgeBase:
 
 
 def _strings(values: list[str]) -> str:
-    """A device's contexts or kinds as the canonical document lays them out."""
-    if not values:
-        return "[]"
+    """A device's contexts or kinds (never empty once validated) as the document lays them out."""
     return "[\n        " + ",\n        ".join(map(encode_basestring_ascii, values)) + "\n      ]"
 
 

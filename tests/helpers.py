@@ -96,7 +96,7 @@ def replay(scenario: Scenario | str | Iterable[dict], kb: dict | KnowledgeBase |
     alerts = list(log)
     assert_same_text(log_text(alerts), sink.getvalue())
     _check_index(log, alerts)
-    return Replay(sink.getvalue(), kb_text(engine.kb), log.diagnostics)
+    return Replay(sink.getvalue(), kb_text(engine.kb), engine.diagnostics)
 
 
 def _check_index(log: AlertLog, alerts: list[Alert]) -> None:

@@ -353,6 +353,18 @@ def test_validate_rejects_invariant_breaches(tmp_path, capsys):
     assert "unsafe" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc, message", [
+    (kb_doc(devices=[{"device_id": "", "contexts": ["Home"], "kinds": ["ring"]}]),
+     "devices[0]: device_id must be non-empty"),
+    (kb_doc(signals={"": "Home"}), "context_signals: signal key must be non-empty"),
+], ids=["device_id", "signal_key"])
+def test_validate_rejects_an_empty_id(tmp_path, capsys, doc, message):
+    kb = tmp_path / "kb.json"
+    kb.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", "--kb", str(kb)]) == 1
+    assert capsys.readouterr().err == f"error: {kb}: {message}\n"
+
+
 def test_validate_empty_scenario_is_valid(tmp_path):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("", encoding="utf-8")

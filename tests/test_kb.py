@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import io
 import json
 import random
@@ -137,6 +138,13 @@ def test_malformed_documents_are_rejected(doc, fragment):
     with pytest.raises(KnowledgeBaseError) as err:
         load_kb_doc(doc)
     assert fragment in str(err.value)
+
+
+def test_a_contact_filed_under_another_id_is_rejected():
+    kb = KnowledgeBase(contacts={"a": Contact("b", "B", Group.A)})
+    with pytest.raises(KnowledgeBaseError) as err:
+        kb.validate()
+    assert str(err.value) == "contacts['a']: key does not match contact id"
 
 
 def test_duplicate_device_id_rejected():
@@ -285,3 +293,25 @@ def test_kb_to_text_is_json_dumps_with_a_section_empty(section):
         getattr(kb, section).clear()
     assert_json_dumps_layout(kb)
     assert_json_dumps_layout(KnowledgeBase())
+
+
+def test_a_safety_record_cannot_be_changed():
+    record = SafetyRecord(3, 1)
+    for name in ("total_calls", "unsafe_calls"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, 0)
+    assert record == SafetyRecord(3, 1)
+
+
+def test_copy_shares_all_but_the_map_of_safety_records():
+    kb = _full_kb()
+    records = dict(kb.safety_records)
+    run = kb.copy()
+    assert run.contacts is kb.contacts and run.devices is kb.devices
+    assert run.context_signals is kb.context_signals
+    assert run.safety_records is not kb.safety_records and run.safety_records == records
+    run.record_call("x", unsafe=True)
+    run.record_call("new", unsafe=False)
+    assert run.safety_records["x"] == SafetyRecord(5, 3)
+    assert run.safety_records["new"] == SafetyRecord(1, 0)
+    assert kb.safety_records == records and kb.safety_records["x"] == SafetyRecord(4, 2)

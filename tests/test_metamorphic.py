@@ -130,6 +130,32 @@ def test_an_omitted_safety_runs_as_false(inputs):
     assert_same_text(toggled_run.kb_out, run.kb_out)
 
 
+# About 11.6 days, and not a whole number of seconds, so no rounding to a coarser unit hides
+# a dependence on absolute time.
+SHIFT = 1_000_000_007
+
+
+def _shift(record: dict[str, Any]) -> dict[str, Any]:
+    """An event or a log record with its ``t``, and a forward's nested ``t``, moved by SHIFT."""
+    moved = record | {"t": record["t"] + SHIFT}
+    if "alert" in record:
+        moved["alert"] = _shift(record["alert"])
+    return moved
+
+
+def test_shifting_every_event_in_time_shifts_every_log_time_and_nothing_else(inputs):
+    scenario_text = (inputs / "scenario.jsonl").read_text(encoding="utf-8")
+    shifted_text = "".join(json.dumps(_shift(json.loads(line))) + "\n" if line.strip() else "\n"
+                           for line in scenario_text.splitlines())
+    kb, config = _kb_and_config(inputs)
+    run, shifted = replay(scenario_text, kb, config), replay(shifted_text, kb, config)
+    assert run.log and '"kind":"forward_to_device"' in run.log
+    assert_same_text(shifted.log, "".join(
+        json.dumps(_shift(json.loads(line)), separators=(",", ":")) + "\n"
+        for line in run.log.splitlines()))
+    assert_same_text(shifted.kb_out, run.kb_out)
+
+
 END_NOTE = "still active at end of scenario"
 
 
