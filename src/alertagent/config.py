@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import fields
 from pathlib import Path
 from typing import IO, Any
 
@@ -16,7 +15,7 @@ _NUMBER = need_type(float, required=False)  # read as a float, even when written
 # Each field, optional, checked by its default's type; a field of another type fails
 # at import. AgentConfig holds the defaults and AgentConfig.validate the ranges.
 _BY_TYPE = {int: need_int(required=False), float: _NUMBER, tuple: need_type(list, required=False)}
-_CONFIG = {field.name: _BY_TYPE[type(field.default)] for field in fields(AgentConfig)}
+_CONFIG = {name: _BY_TYPE[type(default)] for name, default in AgentConfig._field_defaults.items()}
 _ACTIONS = {a.value: a for a in BatteryAction}
 _ACTION = {"kind": need_str(_ACTIONS), "destination": need_type(str, required=False)}
 

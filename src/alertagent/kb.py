@@ -4,10 +4,9 @@ layout, so that identical knowledge bases save to identical bytes."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import IO, Any, Iterator
+from typing import IO, Any, Iterator, NamedTuple
 
 from .context import Context
 from .errors import KnowledgeBaseError
@@ -62,8 +61,7 @@ _DEVICE = {
 _RECORD = {"total": need_int(), "unsafe": need_int()}
 
 
-@dataclass(frozen=True)
-class SafetyRecord:
+class SafetyRecord(NamedTuple):
     """Per-caller tally of calls that ran past the safe conversation limit."""
 
     total_calls: int = 0
@@ -84,8 +82,7 @@ class SafetyRecord:
             )
 
 
-@dataclass(frozen=True)
-class DeviceRegistration:
+class DeviceRegistration(NamedTuple):
     """A device that accepts certain alert kinds while in certain contexts."""
 
     device_id: str
@@ -102,12 +99,18 @@ def matching_devices(devices: list[DeviceRegistration], current: Context,
     return [d for d in devices if current in d.contexts and alert_kind in d.kinds]
 
 
-@dataclass
 class KnowledgeBase:
-    contacts: dict[str, Contact] = field(default_factory=dict)
-    safety_records: dict[str, SafetyRecord] = field(default_factory=dict)
-    devices: list[DeviceRegistration] = field(default_factory=list)
-    context_signals: dict[str, Context] = field(default_factory=dict)
+    def __init__(self, contacts: dict[str, Contact] | None = None,
+                 safety_records: dict[str, SafetyRecord] | None = None,
+                 devices: list[DeviceRegistration] | None = None,
+                 context_signals: dict[str, Context] | None = None) -> None:
+        self.contacts = {} if contacts is None else contacts
+        self.safety_records = {} if safety_records is None else safety_records
+        self.devices = [] if devices is None else devices
+        self.context_signals = {} if context_signals is None else context_signals
+
+    def __eq__(self, other: object) -> bool:
+        return vars(self) == vars(other) if type(other) is KnowledgeBase else NotImplemented
 
     def contact_group(self, caller_id: str) -> Group:
         """Group of a caller; callers without a contact entry count as Group D."""
@@ -131,7 +134,7 @@ class KnowledgeBase:
     def copy(self) -> KnowledgeBase:
         """A copy a run may change. Only ``record_call`` changes anything, and it stores a
         new record, so only the map of safety records is copied; the rest is shared."""
-        return replace(self, safety_records=dict(self.safety_records))
+        return KnowledgeBase(**vars(self) | {"safety_records": dict(self.safety_records)})
 
     def validate(self) -> None:
         for key, contact in self.contacts.items():

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
 from pathlib import Path
@@ -78,7 +77,10 @@ def _fault_where(text: str, fault: str) -> str:
 
 def read_json(source: str | Path | IO[str], error: type[InputError]) -> Any:
     """Strictly decode a whole JSON document read by ``_lines``; any fault raises ``error``."""
-    return _decode("".join(_lines(source, error)), error)
+    text = ""
+    for line in _lines(source, error):
+        text += line  # extended in place while it has one reference: no list of every line
+    return _decode(text, error)
 
 
 def _key_count(value: dict) -> int:
@@ -290,8 +292,7 @@ def group_weight(group: Group) -> int:
     return _WEIGHTS[group]
 
 
-@dataclass(frozen=True)
-class Contact:
+class Contact(NamedTuple):
     id: str
     display_name: str
     group: Group
@@ -324,8 +325,7 @@ _NEEDS_DESTINATION = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class BatteryActionSpec:
+class BatteryActionSpec(NamedTuple):
     """One enabled low-battery action and its destination, if it needs one."""
 
     kind: BatteryAction
@@ -416,8 +416,7 @@ def _clip(value: Any) -> str:
     return text if len(text) <= 20 else text[:19] + "…"
 
 
-@dataclass(frozen=True)
-class AgentConfig:
+class AgentConfig(NamedTuple):
     """Tunable thresholds for every subsystem, all on the virtual clock."""
 
     battery_critical_pct: int = 4

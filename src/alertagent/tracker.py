@@ -8,17 +8,15 @@ be open per callee at a time. A settled task is forgotten.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-
-@dataclass
 class TrackerTask:
-    callee_id: str
-    prompt_id: str
-    created_ms: int
-    reason: str
-    tracking_msg_id: str | None = None
-    expires_ms: int | None = None  # when the delivery wait times out, set on consent
+    __slots__ = ("callee_id", "prompt_id", "created_ms", "reason", "tracking_msg_id", "expires_ms")
+
+    def __init__(self, callee_id: str, prompt_id: str, created_ms: int, reason: str) -> None:
+        self.callee_id, self.prompt_id, self.created_ms, self.reason = (
+            callee_id, prompt_id, created_ms, reason)
+        self.tracking_msg_id: str | None = None
+        self.expires_ms: int | None = None  # when the delivery wait times out, set on consent
 
 
 class CallerTracker:

@@ -830,3 +830,16 @@ def test_a_closed_stdout_exits_141_and_prints_nothing(tmp_path, command, bufferi
         proc.stdout.close()
         assert proc.wait(timeout=60) == 141
     assert (tmp_path / "err.txt").read_bytes() == b""
+
+
+def test_importing_the_package_loads_no_introspection_modules():
+    """``alertagent`` and its command line import neither ``dataclasses`` nor the
+    modules it would pull in, which no output needs and every run would hold."""
+    probe = ("import sys; before = set(sys.modules); import alertagent, alertagent.cli; "
+             "print(*sorted(set(sys.modules) - before))")
+    src = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    loaded = set(proc.stdout.split())
+    assert "alertagent.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}, loaded

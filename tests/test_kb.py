@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import copy
-import dataclasses
 import io
 import json
 import random
+import sys
+import tracemalloc
 
 import pytest
 
@@ -13,7 +14,7 @@ from alertagent.errors import KnowledgeBaseError
 from alertagent.kb import (
     DeviceRegistration, KnowledgeBase, SafetyRecord, kb_from_dict, load_kb, save_kb,
 )
-from alertagent.model import ALERT_KINDS, Contact, Group
+from alertagent.model import ALERT_KINDS, Contact, Group, _decode
 
 from helpers import assert_same_text, contact_doc, kb_doc, kb_text, load_bench_gen, load_kb_doc
 
@@ -298,7 +299,7 @@ def test_kb_to_text_is_json_dumps_with_a_section_empty(section):
 def test_a_safety_record_cannot_be_changed():
     record = SafetyRecord(3, 1)
     for name in ("total_calls", "unsafe_calls"):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             setattr(record, name, 0)
     assert record == SafetyRecord(3, 1)
 
@@ -315,3 +316,34 @@ def test_copy_shares_all_but_the_map_of_safety_records():
     assert run.safety_records["x"] == SafetyRecord(5, 3)
     assert run.safety_records["new"] == SafetyRecord(1, 0)
     assert kb.safety_records == records and kb.safety_records["x"] == SafetyRecord(4, 2)
+
+
+def test_each_omitted_section_is_a_new_container():
+    first, second = KnowledgeBase(), KnowledgeBase()
+    for name in ("contacts", "safety_records", "devices", "context_signals"):
+        assert getattr(first, name) is not getattr(second, name), name
+    first.record_call("c1", unsafe=False)
+    assert second.safety_records == {} and second == KnowledgeBase() != first
+
+
+def _traced_peak(call) -> int:
+    """tracemalloc's peak over ``call()``, counting only what it allocates."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_loading_a_kb_holds_its_text_once(tmp_path):
+    """A document is read a line at a time into one string, with no list of its lines
+    beside it: loading peaks within the text, its decoding's own peak and 64 KiB."""
+    contacts = {f"c{n:05d}": Contact(f"c{n:05d}", f"Contact {n}", Group.B) for n in range(5000)}
+    path = tmp_path / "kb.json"
+    save_kb(KnowledgeBase(contacts), path)
+    text = path.read_text(encoding="utf-8")
+    decode_peak = _traced_peak(lambda: _decode(text, KnowledgeBaseError))
+    load_peak = _traced_peak(lambda: load_kb(path))
+    assert load_peak <= sys.getsizeof(text) + decode_peak + 64 * 1024, (
+        load_peak, sys.getsizeof(text), decode_peak)

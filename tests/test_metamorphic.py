@@ -2,14 +2,17 @@
 
 Each test changes an input in a way that must change the output in a known
 way, or not at all, and compares the two runs byte for byte. The inputs are the worked example in
-``sample/`` and the benchmark generator's three workloads at seed 1 (scale 0.2; the split-point
-test runs them at scale 0.05 and seeds 1 to 3).
+``sample/``, the benchmark generator's three workloads at seed 1 (scale 0.2; the split-point
+test runs them at scale 0.05 and seeds 1 to 3) and a hand-written scenario that raises every
+diagnostic the engine makes, so the relations reach the diagnostics' text too.
 """
 
 from __future__ import annotations
 
 import json
 import random
+import re
+import shutil
 from pathlib import Path
 from typing import Any
 
@@ -24,11 +27,41 @@ from helpers import ROOT, Replay, assert_same_text, load_bench_gen, replay, rewr
 
 CASES = ("sample", "busy_day", "callback_snapshots", "unreachable_callees")
 
+# Over sample/'s KB and config: each diagnostic at its own instant, and rings left
+# unattended at Home, so they forward. The last call is never ended.
+DIAGNOSTIC_EVENTS = [
+    {"t": 0, "type": "sensor", "signal_kind": "wifi_network", "signal_value": "home-net"},
+    {"t": 1000, "type": "call_end"},
+    {"t": 2000, "type": "safety_mode_enter"},
+    {"t": 3000, "type": "call_start", "caller": "mom", "safety": False},
+    {"t": 4000, "type": "call_start", "caller": "lee", "safety": False},
+    {"t": 5000, "type": "call_end"},
+    {"t": 6000, "type": "notification_attended", "alert_id": 99},
+    {"t": 7000, "type": "user_response", "prompt_id": "p1", "answer": "yes"},
+    {"t": 8000, "type": "delivery_report", "tracking_msg_id": "m1", "positive": True},
+    {"t": 9000, "type": "call_start", "caller": "sam", "safety": False},
+]
+DIAGNOSTICS = [
+    "t=1000: call_end with no active call",
+    "t=2000: safety_mode_enter with no active call",
+    "t=4000: call from 'lee' while another call is active; not tracked",
+    "t=6000: notification_attended for unknown alert id 99",
+    "t=7000: user_response for unknown or settled prompt 'p1'",
+    "t=8000: delivery_report for unknown tracking id 'm1'",
+    "t=9000: call from 'sam' still active at end of scenario; exposure tracking stopped",
+]
 
-@pytest.fixture(params=CASES)
+
+@pytest.fixture(params=CASES + ("diagnostics",))
 def inputs(request, tmp_path) -> Path:
     if request.param == "sample":
         return ROOT / "sample"
+    if request.param == "diagnostics":
+        for name in ("kb.json", "config.json"):
+            shutil.copy(ROOT / "sample" / name, tmp_path / name)
+        (tmp_path / "scenario.jsonl").write_text(
+            "".join(json.dumps(event) + "\n" for event in DIAGNOSTIC_EVENTS), encoding="utf-8")
+        return tmp_path
     load_bench_gen().generate(request.param, 1, tmp_path, 0.2)
     return tmp_path
 
@@ -89,6 +122,11 @@ def _rename_kb(doc: dict[str, Any]) -> dict[str, Any]:
     }
 
 
+def _rename_note(note: str) -> str:
+    """A diagnostic with the caller id it names, if any, under PREFIX."""
+    return re.sub(r"call from '([^']*)'", lambda m: f"call from {PREFIX + m[1]!r}", note)
+
+
 def test_renaming_callers_renames_the_log_and_kb_out_and_nothing_else(inputs):
     scenario_text = (inputs / "scenario.jsonl").read_text(encoding="utf-8")
     kb_doc = json.loads((inputs / "kb.json").read_text(encoding="utf-8"))
@@ -99,6 +137,7 @@ def test_renaming_callers_renames_the_log_and_kb_out_and_nothing_else(inputs):
     assert_same_text(renamed.log, _rename_lines(run.log))
     expected = _rename_kb(json.loads(run.kb_out))
     assert_same_text(renamed.kb_out, json.dumps(expected, sort_keys=True, indent=2) + "\n")
+    assert renamed.diagnostics == [_rename_note(note) for note in run.diagnostics]
 
 
 def _toggle_safety(text: str) -> tuple[str, int]:
@@ -143,6 +182,12 @@ def _shift(record: dict[str, Any]) -> dict[str, Any]:
     return moved
 
 
+def _shift_note(note: str) -> str:
+    """A diagnostic, "t=<ms>: ...", with its time moved by SHIFT."""
+    t, rest = note.split(":", 1)
+    return f"t={int(t.removeprefix('t=')) + SHIFT}:{rest}"
+
+
 def test_shifting_every_event_in_time_shifts_every_log_time_and_nothing_else(inputs):
     scenario_text = (inputs / "scenario.jsonl").read_text(encoding="utf-8")
     shifted_text = "".join(json.dumps(_shift(json.loads(line))) + "\n" if line.strip() else "\n"
@@ -154,6 +199,12 @@ def test_shifting_every_event_in_time_shifts_every_log_time_and_nothing_else(inp
         json.dumps(_shift(json.loads(line)), separators=(",", ":")) + "\n"
         for line in run.log.splitlines()))
     assert_same_text(shifted.kb_out, run.kb_out)
+    assert shifted.diagnostics == [_shift_note(note) for note in run.diagnostics]
+
+
+def test_the_hand_written_input_raises_every_diagnostic():
+    kb, config = _kb_and_config(ROOT / "sample")
+    assert replay(DIAGNOSTIC_EVENTS, kb, config).diagnostics == DIAGNOSTICS
 
 
 END_NOTE = "still active at end of scenario"

@@ -6,7 +6,6 @@ or a second implementation, written from README then sees what the code checks."
 from __future__ import annotations
 
 import ast
-import dataclasses
 import re
 
 from alertagent.engine import _EVENT_FIELDS
@@ -79,11 +78,11 @@ def test_readme_alert_log_table_matches_the_alert_fields():
 def test_readme_config_fields_and_defaults_match_agent_config():
     paragraph = README.split("Any subset of: ", 1)[1].split("Absent fields take", 1)[0]
     documented = re.findall(r"`(\w+)`\s+\(([^)]*)\)", paragraph)
-    fields = dataclasses.fields(AgentConfig)
-    assert [name for name, _ in documented] == [f.name for f in fields]
-    for (name, note), field in zip(documented, fields):
+    assert [name for name, _ in documented] == list(AgentConfig._fields)
+    for name, note in documented:
+        field_default = AgentConfig._field_defaults[name]
         if note.startswith("ordered array"):
-            assert field.default == (), name
+            assert field_default == (), name
         else:
             default = ast.literal_eval(note)
-            assert (default, type(default)) == (field.default, type(field.default)), name
+            assert (default, type(default)) == (field_default, type(field_default)), name
